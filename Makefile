@@ -92,15 +92,15 @@ bench-quick:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# Machine-readable run of the analyzer + scheduler + warm-vs-cold delta +
-# zoo-inference benchmarks. Writes
+# Machine-readable run of the analyzer + scheduler + policy forward + PPO
+# update + warm-vs-cold delta + zoo-inference benchmarks. Writes
 # BENCH_<n>.json with the next free index so successive runs are kept
 # side by side for before/after comparison.
 bench-json:
 	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	out=BENCH_$$n.json; \
 	$(GO) test -run xxx -json \
-		-bench 'BenchmarkFailureAnalysisORION|BenchmarkFailureAnalysisORIONEngine|BenchmarkScheduler|BenchmarkPolicyForward|BenchmarkDeltaColdStart|BenchmarkDeltaWarmStart|BenchmarkZooInference' \
+		-bench 'BenchmarkFailureAnalysisORION|BenchmarkFailureAnalysisORIONEngine|BenchmarkScheduler|BenchmarkPolicyForward|BenchmarkPPOUpdateORION|BenchmarkDeltaColdStart|BenchmarkDeltaWarmStart|BenchmarkZooInference' \
 		-benchmem . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	echo "wrote $$out"
 

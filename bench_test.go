@@ -20,6 +20,8 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/nbf"
+	"repro/internal/rl"
+	"repro/internal/rl/rltest"
 	"repro/internal/scenarios"
 	"repro/internal/serialize"
 	"repro/internal/tsn"
@@ -501,11 +503,11 @@ func BenchmarkScheduler(b *testing.B) {
 }
 
 // BenchmarkPolicyForward times the pure inference path of the Table II
-// policy (GCN-2 trunk + 256x256 actor MLP + masked softmax) on an
-// ADS-sized observation — the per-step cost every exploration worker pays.
-// "single" evaluates one observation at a time; "batched" evaluates the
-// same observations as one row-stacked batch (per-observation cost
-// reported), the shape the planner's batched exploration uses.
+// networks (GCN-2 trunk + 256x256 actor and critic MLPs) on an ADS-sized
+// observation — the per-step cost every exploration worker pays. Both
+// variants evaluate both heads: "single" one observation at a time,
+// "batched" the same observations as one row-stacked batch (per-observation
+// cost reported), the shape the planner's batched exploration uses.
 func BenchmarkPolicyForward(b *testing.B) {
 	scen := mustADS(b)
 	prob := scen.Problem(scenarios.ADSFlows(1), &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
@@ -529,6 +531,7 @@ func BenchmarkPolicyForward(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			nets.ForwardPolicy(obs)
+			nets.ForwardValue(obs)
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
@@ -547,6 +550,47 @@ func BenchmarkPolicyForward(b *testing.B) {
 			nets.ForwardPolicyValueBatch(obsBatch, logits, values)
 		}
 	})
+}
+
+// BenchmarkPPOUpdateORION times one PPO update at Table II widths (GCN-2x32,
+// MLP 256x256, K = 16, 80/80 iterations with KL early stopping) on the 32
+// merged samples of a real ORION epoch explored by two workers — the stage
+// that takes ~99% of a training epoch. Every iteration starts from the same
+// weights and a fresh optimizer, so each one does the same work.
+func BenchmarkPPOUpdateORION(b *testing.B) {
+	prob, err := rltest.ORION(20, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig() // Table II widths
+	cfg.MaxStep, cfg.Workers = 32, 2
+	nets, err := rltest.Nets(prob, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf, err := rltest.Epoch(prob, cfg, nets, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	weights := nets.ExportWeights()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := nets.ImportWeights(weights); err != nil {
+			b.Fatal(err)
+		}
+		ppo, err := rl.NewPPO(rltest.PPOConfig(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		st, err := ppo.Update(nets, buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(st.PiIters), "pi_iters")
+	}
 }
 
 // orionAnalysisState builds the ORION-scale dual-homed topology the

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/rl"
 )
 
 // TestForwardPolicyValueBatchMatchesSingle is the contract the batched
@@ -96,5 +99,124 @@ func TestBatchedExplorationMatchesUnbatched(t *testing.T) {
 			got := planOnce(t, prob, cfg)
 			assertSameTrajectory(t, fmt.Sprintf("seed=%d workers=%d", seed, workers), want, got)
 		}
+	}
+}
+
+// TestBatchedTrainingPassesDifferential pins the contract the PPO update
+// stands on: ForwardPolicyBatch/BackwardPolicyBatch over a subset of rows,
+// and ForwardValueBatch/BackwardValueBatch over all of them, must produce
+// the exact outputs and gradients of single-observation passes over the
+// same rows in order — for the GCN and GAT trunks and the trunk-less
+// (GCN-0) network. Run under -cpu 1,2,4 it also checks that spreading the
+// rows over goroutines changes nothing.
+func TestBatchedTrainingPassesDifferential(t *testing.T) {
+	prob := tinyProblem(t)
+	for _, tc := range []struct {
+		name   string
+		gat    bool
+		layers int
+	}{{"gcn2", false, 2}, {"gat2", true, 2}, {"gcn0", false, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.UseGAT, cfg.GCNLayers = tc.gat, tc.layers
+			cfg.MLPHidden = []int{64, 64}
+			soag, err := NewSOAG(prob, cfg.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() *Nets {
+				nets, err := NewNets(rand.New(rand.NewSource(23)), NewEncoder(prob, cfg.K), soag.ActionSpaceSize(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nets
+			}
+			single, batched := build(), build()
+
+			env, err := NewEnv(prob, cfg, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var obs []rl.Observation
+			for len(obs) < 7 {
+				obs = append(obs, env.Observation())
+				act := -1
+				for i, ok := range env.Mask() {
+					if ok && (act < 0 || len(obs)%2 == 0) {
+						act = i
+					}
+				}
+				if act < 0 {
+					break
+				}
+				if _, _, err := env.Step(act); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Repeat the rollout's observations so that the batch is large
+			// enough for the dense layers to split it across goroutines.
+			for len(obs) < 48 {
+				obs = append(obs, obs[len(obs)%7])
+			}
+			rng := rand.New(rand.NewSource(4))
+			a := single.ActionSpace()
+			dLogits := nn.NewMatrix(len(obs), a)
+			for i := range dLogits.Data {
+				dLogits.Data[i] = rng.NormFloat64()
+			}
+			dValues := make([]float64, len(obs))
+			for i := range dValues {
+				dValues[i] = rng.NormFloat64()
+			}
+			var rows []int // every row but each third, as clipped samples drop out
+			for i := range obs {
+				if i%3 != 1 {
+					rows = append(rows, i)
+				}
+			}
+
+			sameGrads := func(head string, ps, qs []nn.Param) {
+				t.Helper()
+				for i := range ps {
+					for j, g := range ps[i].Grad.Data {
+						if q := qs[i].Grad.Data[j]; g != q {
+							t.Fatalf("%s grad %s[%d]: single %v, batched %v", head, ps[i].Name, j, g, q)
+						}
+					}
+				}
+			}
+
+			nn.ZeroGrads(single.AllParams())
+			nn.ZeroGrads(batched.AllParams())
+			logits := batched.ForwardPolicyBatch(obs)
+			for i, o := range obs {
+				for j, l := range single.ForwardPolicy(o) {
+					if l != logits.At(i, j) {
+						t.Fatalf("row %d logit %d: batched %v, single %v", i, j, logits.At(i, j), l)
+					}
+				}
+			}
+			batched.BackwardPolicyBatch(dLogits, rows)
+			for _, r := range rows {
+				single.ForwardPolicy(obs[r])
+				single.BackwardPolicy(dLogits.Data[r*a : (r+1)*a])
+			}
+			sameGrads("policy", single.PolicyParams(), batched.PolicyParams())
+
+			nn.ZeroGrads(single.AllParams())
+			nn.ZeroGrads(batched.AllParams())
+			values := batched.ForwardValueBatch(obs)
+			for i, o := range obs {
+				if v := single.ForwardValue(o); v != values[i] {
+					t.Fatalf("row %d value: batched %v, single %v", i, values[i], v)
+				}
+			}
+			batched.BackwardValueBatch(dValues)
+			for i, o := range obs {
+				single.ForwardValue(o)
+				single.BackwardValue(dValues[i])
+			}
+			sameGrads("value", single.ValueParams(), batched.ValueParams())
+		})
 	}
 }

@@ -3,24 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/rl"
-)
-
-// graphTrunk abstracts the shared graph encoder: the GCN of Fig. 3 or the
-// GAT alternative discussed (and rejected for scalability) in §IV-C.
-type graphTrunk interface {
-	Forward(op, h *nn.Matrix) *nn.Matrix
-	Backward(dY *nn.Matrix) *nn.Matrix
-	Params() []nn.Param
-	OutFeatures(in int) int
-	NumLayers() int
-}
-
-var (
-	_ graphTrunk = (*nn.GCN)(nil)
-	_ graphTrunk = (*nn.GAT)(nil)
 )
 
 // Nets is the neural-network architecture of Fig. 3: a graph trunk (GCN by
@@ -32,7 +19,7 @@ var (
 // evaluation allocates nothing. ForwardPolicy's returned slice is borrowed
 // scratch, valid until the next forward call on the same Nets.
 type Nets struct {
-	gcn    graphTrunk
+	gcn    nn.Trunk
 	useGAT bool
 	actor  *nn.MLP
 	critic *nn.MLP
@@ -41,6 +28,7 @@ type Nets struct {
 	featDim     int
 	embedCols   int // per-node embedding width after the GCN
 	actionSpace int
+	trunkCost   int // approximate multiply-adds of one trunk forward
 
 	// cached parameter lists (built once; callers must not mutate)
 	policyParams []nn.Param
@@ -56,6 +44,25 @@ type Nets struct {
 	// caches for backward passes
 	lastPolicyObs *Obs
 	lastValueObs  *Obs
+
+	// batched training passes (ForwardPolicyBatch & co.)
+	team     nn.Team
+	mu       sync.Mutex     // guards idle
+	idle     []*trunkWorker // trunk replicas not in use by a goroutine
+	partials []nn.Partials  // per batch row: trunk-gradient contributions
+	added    atomic.Int64   // rows of the running backward added in order
+	batchObs []*Obs         // the batch's observations
+	dX       *nn.Matrix     // MLP input gradient of the running backward
+	rows     []int          // rows of the running backward (nil: all)
+}
+
+// trunkWorker is one goroutine's graph trunk in a batched pass: a replica
+// sharing the trunk's weights, the view of a row's embedding gradient, and
+// room for a row's trunk-gradient contributions.
+type trunkWorker struct {
+	trunk    nn.Trunk
+	dEmb     nn.Matrix
+	partials nn.Partials
 }
 
 var _ rl.ActorCritic = (*Nets)(nil)
@@ -72,13 +79,17 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 	}
 	n := enc.prob.NumVertices()
 	featDim := enc.FeatureDim()
-	var trunk graphTrunk
+	var trunk nn.Trunk
 	if cfg.UseGAT {
 		trunk = nn.NewGAT(rng, cfg.GCNLayers, featDim, cfg.GCNHidden, cfg.EmbeddingPerNode)
 	} else {
 		trunk = nn.NewGCN(rng, cfg.GCNLayers, featDim, cfg.GCNHidden, cfg.EmbeddingPerNode)
 	}
 	embedCols := trunk.OutFeatures(featDim)
+	trunkCost := 0 // the first layer's n×featDim by featDim×GCNHidden product dominates
+	if cfg.GCNLayers > 0 {
+		trunkCost = n * featDim * cfg.GCNHidden
+	}
 	mlpIn := n*embedCols + enc.ParamDim()
 	nt := &Nets{
 		gcn:         trunk,
@@ -87,11 +98,13 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		critic:      nn.NewMLP(rng, mlpIn, cfg.MLPHidden, 1, nn.Tanh),
 		numVertices: n,
 		featDim:     featDim,
+		trunkCost:   trunkCost,
 		embedCols:   embedCols,
 		actionSpace: actionSpace,
 		xRow:        nn.NewMatrix(1, mlpIn),
 		batchX:      new(nn.Matrix),
 		dOut:        new(nn.Matrix),
+		dX:          new(nn.Matrix),
 	}
 	// Parameter lists are fixed for the network's lifetime; caching them
 	// keeps the per-iteration ZeroGrads/ClipGrads/Step calls allocation-
@@ -113,6 +126,15 @@ func (nt *Nets) operator(o *Obs) *nn.Matrix {
 	return o.SHat
 }
 
+// asObs unwraps an rl observation.
+func asObs(obs rl.Observation) *Obs {
+	o, ok := obs.(*Obs)
+	if !ok {
+		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
+	}
+	return o
+}
+
 // embed runs the graph trunk and assembles the MLP input into xRow.
 func (nt *Nets) embed(obs *Obs) *nn.Matrix {
 	emb := nt.gcn.Forward(nt.operator(obs), obs.Feat)
@@ -132,19 +154,18 @@ func (nt *Nets) backThroughEmbedding(dIn *nn.Matrix) {
 	nt.gcn.Backward(&nt.dEmb)
 }
 
-// ForwardPolicy implements rl.ActorCritic. The returned slice is borrowed
+// ForwardPolicy computes the actor's logits for one observation and caches
+// activations for BackwardPolicy. The returned slice is borrowed
 // network scratch: valid until the next forward call, never to be modified
 // or retained by the caller.
 func (nt *Nets) ForwardPolicy(obs rl.Observation) []float64 {
-	o, ok := obs.(*Obs)
-	if !ok {
-		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
-	}
+	o := asObs(obs)
 	nt.lastPolicyObs = o
 	return nt.actor.Forward(nt.embed(o)).Data
 }
 
-// BackwardPolicy implements rl.ActorCritic.
+// BackwardPolicy accumulates the policy gradients of the last ForwardPolicy
+// for the upstream logit gradient.
 func (nt *Nets) BackwardPolicy(dLogits []float64) {
 	if nt.lastPolicyObs == nil {
 		panic("core: policy backward before forward")
@@ -158,17 +179,15 @@ func (nt *Nets) BackwardPolicy(dLogits []float64) {
 // returned list is cached; callers must treat it as read-only.
 func (nt *Nets) PolicyParams() []nn.Param { return nt.policyParams }
 
-// ForwardValue implements rl.ActorCritic.
+// ForwardValue computes the critic's estimate for one observation and
+// caches activations for BackwardValue.
 func (nt *Nets) ForwardValue(obs rl.Observation) float64 {
-	o, ok := obs.(*Obs)
-	if !ok {
-		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
-	}
+	o := asObs(obs)
 	nt.lastValueObs = o
 	return nt.critic.Forward(nt.embed(o)).Data[0]
 }
 
-// BackwardValue implements rl.ActorCritic.
+// BackwardValue accumulates the value gradients of the last ForwardValue.
 func (nt *Nets) BackwardValue(dV float64) {
 	if nt.lastValueObs == nil {
 		panic("core: value backward before forward")
@@ -197,7 +216,8 @@ func (nt *Nets) ActionSpace() int { return nt.actionSpace }
 //
 // logits[i] must be a caller-owned slice of length ActionSpace(); values
 // must have length len(obs). Backward caches are not maintained: this is
-// an inference-only path (the PPO update re-forwards per step).
+// an inference-only path (the PPO update uses ForwardPolicyBatch and
+// ForwardValueBatch).
 func (nt *Nets) ForwardPolicyValueBatch(obs []*Obs, logits [][]float64, values []float64) {
 	b := len(obs)
 	if b == 0 {
@@ -206,26 +226,167 @@ func (nt *Nets) ForwardPolicyValueBatch(obs []*Obs, logits [][]float64, values [
 	if len(logits) != b || len(values) != b {
 		panic(fmt.Sprintf("core: batch of %d obs with %d logit / %d value slots", b, len(logits), len(values)))
 	}
-	embLen := nt.numVertices * nt.embedCols
-	mlpIn := embLen + len(obs[0].Params.Data)
-	nt.batchX.EnsureShape(b, mlpIn)
-	for i, o := range obs {
-		emb := nt.gcn.Forward(nt.operator(o), o.Feat)
-		row := nt.batchX.Data[i*mlpIn : (i+1)*mlpIn]
-		copy(row[:embLen], emb.Data)
-		copy(row[embLen:], o.Params.Data)
-	}
-	out := nt.actor.Forward(nt.batchX)
+	nt.batchObs = append(nt.batchObs[:0], obs...)
+	x := nt.embedBatch(nil)
+	out := nt.actor.Forward(x)
 	for i := range obs {
 		if len(logits[i]) != nt.actionSpace {
 			panic(fmt.Sprintf("core: logits[%d] has %d slots, action space is %d", i, len(logits[i]), nt.actionSpace))
 		}
 		copy(logits[i], out.Data[i*nt.actionSpace:(i+1)*nt.actionSpace])
 	}
-	vals := nt.critic.Forward(nt.batchX)
+	vals := nt.critic.Forward(x)
 	for i := range obs {
 		values[i] = vals.Data[i]
 	}
+}
+
+// ForwardPolicyBatch implements rl.ActorCritic: the actor's logits for a
+// batch of observations, one row each, caching what BackwardPolicyBatch
+// needs. The observations are embedded by trunk replicas and the actor's
+// rows computed on up to GOMAXPROCS goroutines; row i is bit-identical to
+// ForwardPolicy(obs[i]).
+func (nt *Nets) ForwardPolicyBatch(obs []rl.Observation) *nn.Matrix {
+	nt.setBatch(obs)
+	return nt.actor.ForwardTeam(nt.embedBatch(&nt.team), &nt.team)
+}
+
+// BackwardPolicyBatch implements rl.ActorCritic.
+func (nt *Nets) BackwardPolicyBatch(dLogits *nn.Matrix, rows []int) {
+	nt.backThroughEmbeddings(nt.actor.BackwardRows(dLogits, rows, &nt.team), rows)
+}
+
+// ForwardValueBatch implements rl.ActorCritic: the critic's estimates for a
+// batch of observations, bit-identical to ForwardValue one at a time.
+func (nt *Nets) ForwardValueBatch(obs []rl.Observation) []float64 {
+	nt.setBatch(obs)
+	return nt.critic.ForwardTeam(nt.embedBatch(&nt.team), &nt.team).Data
+}
+
+// BackwardValueBatch implements rl.ActorCritic.
+func (nt *Nets) BackwardValueBatch(dValues []float64) {
+	nt.dOut.EnsureShape(len(dValues), 1)
+	copy(nt.dOut.Data, dValues)
+	nt.backThroughEmbeddings(nt.critic.BackwardRows(nt.dOut, nil, &nt.team), nil)
+}
+
+// setBatch makes obs the batch of the next embedBatch.
+func (nt *Nets) setBatch(obs []rl.Observation) {
+	nt.batchObs = nt.batchObs[:0]
+	for _, o := range obs {
+		nt.batchObs = append(nt.batchObs, asObs(o))
+	}
+}
+
+// embedBatch stacks the MLP inputs of the batch's observations into the
+// rows of batchX, spreading the rows over t's goroutines (nil: the calling
+// goroutine only), each embedding through its own trunk replica.
+func (nt *Nets) embedBatch(t *nn.Team) *nn.Matrix {
+	nt.batchX.EnsureShape(len(nt.batchObs), len(nt.xRow.Data))
+	t.For(len(nt.batchObs), nt.trunkCost, trunkForward{nt})
+	return nt.batchX
+}
+
+// trunkForward embeds batch rows [lo, hi).
+type trunkForward struct{ nt *Nets }
+
+func (f trunkForward) Run(lo, hi int) {
+	nt := f.nt
+	w := nt.takeWorker()
+	defer nt.putWorker(w)
+	embLen := nt.numVertices * nt.embedCols
+	for i := lo; i < hi; i++ {
+		o := nt.batchObs[i]
+		row := nt.batchX.Data[i*nt.batchX.Cols : (i+1)*nt.batchX.Cols]
+		copy(row[:embLen], w.trunk.Forward(nt.operator(o), o.Feat).Data)
+		copy(row[embLen:], o.Params.Data)
+	}
+}
+
+// backThroughEmbeddings backpropagates the embedding part of the listed
+// rows of the MLP input gradient dX (nil: all rows) through the trunk, in
+// parallel, and adds each row's trunk-gradient contributions into the
+// trunk's gradients in row order — the additions, in the order, that
+// backpropagating the rows one at a time makes. A shard that starts once
+// every row before it has been added adds its rows' contributions as it
+// goes; the other shards keep theirs in nt.partials until the loop is
+// done. A replica holds the activations of one observation at a time, so
+// each row is forwarded through the trunk again before its backward:
+// recomputing is cheaper than keeping every row's activations.
+func (nt *Nets) backThroughEmbeddings(dX *nn.Matrix, rows []int) {
+	n := dX.Rows
+	if rows != nil {
+		n = len(rows)
+	}
+	for len(nt.partials) < dX.Rows {
+		nt.partials = append(nt.partials, nn.Partials{})
+	}
+	nt.dX, nt.rows = dX, rows
+	nt.added.Store(0)
+	nt.team.For(n, 2*nt.trunkCost, trunkBackward{nt})
+	for r := int(nt.added.Load()); r < n; r++ {
+		nt.gcn.AddPartials(&nt.partials[nt.row(r)])
+	}
+	nt.dX, nt.rows = nil, nil
+}
+
+// row maps position r of the running backward's row list to a batch row.
+func (nt *Nets) row(r int) int {
+	if nt.rows == nil {
+		return r
+	}
+	return nt.rows[r]
+}
+
+// trunkBackward backpropagates listed rows [lo, hi) through the trunk.
+// When the rows before lo have all been added (nt.added == lo), no other
+// shard adds until this one advances nt.added, so it adds its rows'
+// contributions directly; otherwise it keeps them in nt.partials.
+type trunkBackward struct{ nt *Nets }
+
+func (f trunkBackward) Run(lo, hi int) {
+	nt := f.nt
+	w := nt.takeWorker()
+	defer nt.putWorker(w)
+	direct := nt.added.Load() == int64(lo)
+	embLen := nt.numVertices * nt.embedCols
+	for r := lo; r < hi; r++ {
+		i := nt.row(r)
+		o := nt.batchObs[i]
+		w.trunk.Forward(nt.operator(o), o.Feat)
+		w.dEmb.Rows, w.dEmb.Cols = nt.numVertices, nt.embedCols
+		w.dEmb.Data = nt.dX.Data[i*nt.dX.Cols : i*nt.dX.Cols+embLen]
+		p := &nt.partials[i]
+		if direct {
+			p = &w.partials
+		}
+		w.trunk.BackwardPartials(&w.dEmb, p)
+		if direct {
+			nt.gcn.AddPartials(p)
+		}
+	}
+	if direct {
+		nt.added.Store(int64(hi))
+	}
+}
+
+// takeWorker hands a goroutine an idle trunk replica, building one when
+// every replica is busy; putWorker returns it.
+func (nt *Nets) takeWorker() *trunkWorker {
+	nt.mu.Lock()
+	defer nt.mu.Unlock()
+	if n := len(nt.idle); n > 0 {
+		w := nt.idle[n-1]
+		nt.idle = nt.idle[:n-1]
+		return w
+	}
+	return &trunkWorker{trunk: nt.gcn.Replica()}
+}
+
+func (nt *Nets) putWorker(w *trunkWorker) {
+	nt.mu.Lock()
+	nt.idle = append(nt.idle, w)
+	nt.mu.Unlock()
 }
 
 // AllParams lists every parameter exactly once (GCN, actor, critic), used

@@ -426,7 +426,7 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 	// cache — any replica serves it at inference cost — so it spreads
 	// round-robin instead of hashing onto the ring.
 	zooRouted := service.ZooEligible(c.opt.Zoo, req)
-	var order []*replica
+	var order []target
 	var home homeInfo
 	if zooRouted {
 		order, home = c.routeZoo(routeFp)
@@ -597,15 +597,24 @@ type homeInfo struct {
 	state ReplicaState
 }
 
+// target is a replica as route saw it under c.mu: its identity, state and
+// client, copied so that callers never read the live replica, which the
+// monitor and re-registration mutate, without the lock.
+type target struct {
+	id     string
+	state  ReplicaState
+	client *service.Client
+}
+
 // route returns the routable replicas for a fingerprint — alive ones in
 // ring order, then suspect ones as a last resort — plus the identity and
 // state of the true home shard. Dead replicas stay on the ring (their
 // keys come home when they revive) but are never routed to.
-func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
+func (c *Coordinator) route(fp string) ([]target, homeInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seq := c.ring.Sequence(fp)
-	var alive, suspect []*replica
+	var alive, suspect []target
 	var home homeInfo
 	for i, id := range seq {
 		r := c.replicas[id]
@@ -615,11 +624,12 @@ func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
 		if i == 0 {
 			home = homeInfo{id: r.id, state: r.state}
 		}
+		t := target{id: r.id, state: r.state, client: r.client}
 		switch r.state {
 		case ReplicaAlive:
-			alive = append(alive, r)
+			alive = append(alive, t)
 		case ReplicaSuspect:
-			suspect = append(suspect, r)
+			suspect = append(suspect, t)
 		}
 	}
 	return append(alive, suspect...), home
@@ -631,13 +641,13 @@ func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
 // shard. The reported home is the rotation's first candidate, so the
 // home-shard-miss accounting (hedged/fallback/delta-fallback) stays quiet
 // for zoo-routed jobs — there is no home to miss.
-func (c *Coordinator) routeZoo(fp string) ([]*replica, homeInfo) {
+func (c *Coordinator) routeZoo(fp string) ([]target, homeInfo) {
 	order, home := c.route(fp)
 	if len(order) == 0 {
 		return order, home
 	}
 	k := int((c.zooRR.Add(1) - 1) % uint64(len(order)))
-	rotated := make([]*replica, 0, len(order))
+	rotated := make([]target, 0, len(order))
 	rotated = append(rotated, order[k:]...)
 	rotated = append(rotated, order[:k]...)
 	return rotated, homeInfo{id: rotated[0].id, state: rotated[0].state}
@@ -648,7 +658,7 @@ func (c *Coordinator) routeZoo(fp string) ([]*replica, homeInfo) {
 // the fingerprint (adoption), and only then submitted to. Adoption is
 // what makes a failover retried twice — or raced against a duplicate
 // submission — train exactly once per replica.
-func (c *Coordinator) place(ctx context.Context, rep *replica, fp string, req service.Request) (st service.Status, adopted bool, err error) {
+func (c *Coordinator) place(ctx context.Context, rep target, fp string, req service.Request) (st service.Status, adopted bool, err error) {
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
 	defer cancel()
 	if fp != "" { // unknown derived fingerprint: nothing to adopt by

@@ -16,6 +16,13 @@ type Adam struct {
 	step int
 	m    []*Matrix
 	v    []*Matrix
+
+	// team spreads each parameter's elements over GOMAXPROCS goroutines;
+	// cur, bc1 and bc2 describe the parameter being stepped.
+	team     Team
+	cur      int
+	ps       []Param
+	bc1, bc2 float64
 }
 
 // NewAdam constructs an optimizer with the standard defaults
@@ -51,17 +58,30 @@ func (a *Adam) Step(ps []Param) {
 		}
 	}
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	a.bc1 = 1 - math.Pow(a.Beta1, float64(a.step))
+	a.bc2 = 1 - math.Pow(a.Beta2, float64(a.step))
+	a.ps = ps
 	for i, p := range ps {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad.Data {
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mHat := m.Data[j] / bc1
-			vHat := v.Data[j] / bc2
-			p.Value.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
+		a.cur = i
+		a.team.For(len(p.Value.Data), 4, adamLoop{a})
+	}
+	a.ps = nil
+}
+
+// adamLoop updates elements [lo, hi) of the current parameter; every
+// element's update is independent of the others.
+type adamLoop struct{ a *Adam }
+
+func (l adamLoop) Run(lo, hi int) {
+	a := l.a
+	p, m, v := a.ps[a.cur], a.m[a.cur], a.v[a.cur]
+	for j := lo; j < hi; j++ {
+		g := p.Grad.Data[j]
+		m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
+		v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
+		mHat := m.Data[j] / a.bc1
+		vHat := v.Data[j] / a.bc2
+		p.Value.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 	}
 }
 

@@ -22,20 +22,25 @@ const (
 // applyInto computes dst = σ(z) element-wise, resizing dst in place.
 func (a Activation) applyInto(dst, z *Matrix) {
 	dst.EnsureShape(z.Rows, z.Cols)
+	a.apply(dst.Data, z.Data)
+}
+
+// apply computes dst = σ(z) element-wise over equal-length slices.
+func (a Activation) apply(dst, z []float64) {
 	switch a {
 	case Identity:
-		copy(dst.Data, z.Data)
+		copy(dst, z)
 	case ReLU:
-		for i, v := range z.Data {
+		for i, v := range z {
 			if v < 0 {
-				dst.Data[i] = 0
+				dst[i] = 0
 			} else {
-				dst.Data[i] = v
+				dst[i] = v
 			}
 		}
 	case Tanh:
-		for i, v := range z.Data {
-			dst.Data[i] = math.Tanh(v)
+		for i, v := range z {
+			dst[i] = math.Tanh(v)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
@@ -43,28 +48,33 @@ func (a Activation) applyInto(dst, z *Matrix) {
 }
 
 // backwardInto computes dst = dY ⊙ dσ/dz element-wise from the cached
-// pre-activation z and output y — the fused form of the former
-// Hadamard(dY, gradFactor(z, y)); each element is the identical product, so
-// gradients are bit-identical to the allocating version.
-func (a Activation) backwardInto(dst, dY, z, y *Matrix) {
-	shapeEqual("activation backward", dY, z)
-	dst.EnsureShape(z.Rows, z.Cols)
+// output y = σ(z), resizing dst in place.
+func (a Activation) backwardInto(dst, dY, y *Matrix) {
+	shapeEqual("activation backward", dY, y)
+	dst.EnsureShape(y.Rows, y.Cols)
+	a.backward(dst.Data, dY.Data, y.Data)
+}
+
+// backward computes dst = dY ⊙ dσ/dz over equal-length slices, from the
+// output y alone: tanh' = 1 − y², and a ReLU passes the gradient exactly
+// where z > 0, which is where y > 0.
+func (a Activation) backward(dst, dY, y []float64) {
 	switch a {
 	case Identity:
-		copy(dst.Data, dY.Data)
+		copy(dst, dY)
 	case ReLU:
-		for i, v := range z.Data {
+		for i, v := range y {
 			if v > 0 {
-				dst.Data[i] = dY.Data[i] * 1
+				dst[i] = dY[i] * 1
 			} else {
 				// dY·0, not the constant 0: keeps zero signs and NaN
-				// propagation bit-identical to the Hadamard formulation.
-				dst.Data[i] = dY.Data[i] * 0
+				// propagation of the element-wise product.
+				dst[i] = dY[i] * 0
 			}
 		}
 	case Tanh:
-		for i := range z.Data {
-			dst.Data[i] = dY.Data[i] * (1 - y.Data[i]*y.Data[i])
+		for i, v := range y {
+			dst[i] = dY[i] * (1 - v*v)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
@@ -72,12 +82,19 @@ func (a Activation) backwardInto(dst, dY, z, y *Matrix) {
 }
 
 // Dense is a fully connected layer y = σ(xW + b) with cached forward state
-// for backpropagation. Inputs are batch-major: x is batch×in.
+// for backpropagation. Inputs are batch-major: x is batch×in, one sample
+// per row.
 //
 // Forward and Backward write into layer-owned scratch matrices that are
 // resized in place, so steady-state evaluation allocates nothing. The
 // returned matrices are owned by the layer and valid until its next
 // Forward/Backward call; callers that retain results must copy them.
+//
+// Rows are independent samples: row i of the output (and of the input
+// gradient) is computed from row i of the input alone, with the same
+// operations whatever the batch size. The weight gradient accumulates one
+// row at a time, in row order, so backpropagating a batch adds exactly what
+// backpropagating its rows one by one, in order, adds.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -89,12 +106,12 @@ type Dense struct {
 	gradB *Matrix
 
 	lastX *Matrix // batch×In (caller-owned input, not copied)
-	z     *Matrix // pre-activation scratch
-	y     *Matrix // post-activation scratch
+	y     *Matrix // output scratch (the pre-activation until σ is applied)
 
-	dZ       *Matrix // backward scratch: dY ⊙ σ'
-	dX       *Matrix // backward scratch: returned input gradient
-	gradWTmp *Matrix // backward scratch: xᵀ dZ before accumulation
+	dY   *Matrix // upstream gradient of the running backward (caller-owned)
+	rows []int   // rows of the running backward (nil: all)
+	dZ   *Matrix // backward scratch: dY ⊙ σ'
+	dX   *Matrix // backward scratch: returned input gradient
 }
 
 // NewDense builds a dense layer with Xavier-initialized weights.
@@ -103,8 +120,7 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 		In: in, Out: out, Act: act,
 		W: NewMatrix(in, out), B: NewMatrix(1, out),
 		gradW: NewMatrix(in, out), gradB: NewMatrix(1, out),
-		z: new(Matrix), y: new(Matrix),
-		dZ: new(Matrix), dX: new(Matrix), gradWTmp: new(Matrix),
+		y: new(Matrix), dZ: new(Matrix), dX: new(Matrix),
 	}
 	d.W.XavierInit(rng, in, out)
 	return d
@@ -112,39 +128,88 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 
 // Forward computes the layer output and caches intermediates. The returned
 // matrix is layer-owned scratch, valid until the next Forward call.
-func (d *Dense) Forward(x *Matrix) *Matrix {
+func (d *Dense) Forward(x *Matrix) *Matrix { return d.forward(x, nil) }
+
+// forward is Forward with the rows spread over t's goroutines.
+func (d *Dense) forward(x *Matrix, t *Team) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense input %d, want %d", x.Cols, d.In))
 	}
-	MatMulInto(d.z, x, d.W)
-	for r := 0; r < d.z.Rows; r++ {
-		row := d.z.Data[r*d.z.Cols : (r+1)*d.z.Cols]
+	if aliases(d.y, x) {
+		panic("nn: matmul destination aliases an operand")
+	}
+	d.y.EnsureShape(x.Rows, d.Out)
+	d.lastX = x
+	t.For(x.Rows, d.In*d.Out, denseForward{d})
+	return d.y
+}
+
+// denseForward computes rows of y = σ(xW + b), in place.
+type denseForward struct{ d *Dense }
+
+func (f denseForward) Run(lo, hi int) {
+	d := f.d
+	matMulRows(d.y, d.lastX, d.W, lo, hi)
+	y := d.y.Data[lo*d.Out : hi*d.Out]
+	for r := 0; r < hi-lo; r++ {
+		row := y[r*d.Out : (r+1)*d.Out]
 		for c, bv := range d.B.Data {
 			row[c] += bv
 		}
 	}
-	d.lastX = x
-	d.Act.applyInto(d.y, d.z)
-	return d.y
+	d.Act.apply(y, y)
 }
 
 // Backward accumulates parameter gradients for upstream gradient dY and
 // returns the gradient with respect to the input (layer-owned scratch).
-func (d *Dense) Backward(dY *Matrix) *Matrix {
+func (d *Dense) Backward(dY *Matrix) *Matrix { return d.backward(dY, nil, nil) }
+
+// backward is Backward restricted to the rows that rows lists (nil: all),
+// in list order, with the work spread over t's goroutines: rows of dZ and
+// dX per goroutine, then rows of the weight gradient per goroutine, each
+// element summing the listed rows in order. Only the listed rows of the
+// returned input gradient are written.
+func (d *Dense) backward(dY *Matrix, rows []int, t *Team) *Matrix {
 	if d.lastX == nil {
 		panic("nn: dense backward before forward")
 	}
-	d.Act.backwardInto(d.dZ, dY, d.z, d.y)
-	matMulATInto(d.gradWTmp, d.lastX, d.dZ)
-	d.gradW.AddInPlace(d.gradWTmp)
-	// Bias gradient: column sums of dZ.
-	for r := 0; r < d.dZ.Rows; r++ {
-		for c := 0; c < d.dZ.Cols; c++ {
-			d.gradB.Data[c] += d.dZ.Data[r*d.dZ.Cols+c]
+	shapeEqual("activation backward", dY, d.y)
+	d.dZ.EnsureShape(d.y.Rows, d.Out)
+	d.dX.EnsureShape(d.y.Rows, d.In)
+	d.dY, d.rows = dY, rows
+	n := rowCount(rows, d.y.Rows)
+	t.For(n, d.In*d.Out, denseBackRows{d})
+	t.For(d.In, n*d.Out, denseGradW{d})
+	// Bias gradient: column sums of dZ, row by row.
+	for r := 0; r < n; r++ {
+		k := rowAt(rows, r)
+		for c, g := range d.dZ.Data[k*d.Out : (k+1)*d.Out] {
+			d.gradB.Data[c] += g
 		}
 	}
-	matMulBTInto(d.dX, d.dZ, d.W)
+	d.dY, d.rows = nil, nil
 	return d.dX
+}
+
+// denseBackRows computes dZ and dX = dZ Wᵀ for listed rows [lo, hi).
+type denseBackRows struct{ d *Dense }
+
+func (f denseBackRows) Run(lo, hi int) {
+	d := f.d
+	for r := lo; r < hi; r++ {
+		k := rowAt(d.rows, r)
+		span := func(m *Matrix) []float64 { return m.Data[k*d.Out : (k+1)*d.Out] }
+		d.Act.backward(span(d.dZ), span(d.dY), span(d.y))
+		matMulBTRow(d.dX, d.dZ, d.W, k)
+	}
+}
+
+// denseGradW accumulates rows [lo, hi) of gradW += xᵀ dZ.
+type denseGradW struct{ d *Dense }
+
+func (f denseGradW) Run(lo, hi int) {
+	d := f.d
+	matMulATAddRows(d.gradW, d.lastX, d.dZ, d.rows, lo, hi)
 }
 
 // Params exposes the layer parameters to the optimizer.
@@ -179,18 +244,31 @@ func NewMLP(rng *rand.Rand, in int, hidden []int, out int, act Activation) *MLP 
 // floating-point operation sequence) as evaluating each row alone, which
 // the batched-equals-single differential tests assert. The returned matrix
 // is scratch owned by the output layer.
-func (m *MLP) Forward(x *Matrix) *Matrix {
+func (m *MLP) Forward(x *Matrix) *Matrix { return m.ForwardTeam(x, nil) }
+
+// ForwardTeam is Forward with each layer's rows spread over t's goroutines
+// (nil: the calling goroutine only); the result is bit-identical to
+// Forward's.
+func (m *MLP) ForwardTeam(x *Matrix, t *Team) *Matrix {
 	for _, l := range m.layers {
-		x = l.Forward(x)
+		x = l.forward(x, t)
 	}
 	return x
 }
 
 // Backward backpropagates and returns the input gradient (scratch owned by
 // the first layer).
-func (m *MLP) Backward(dY *Matrix) *Matrix {
+func (m *MLP) Backward(dY *Matrix) *Matrix { return m.BackwardRows(dY, nil, nil) }
+
+// BackwardRows backpropagates the rows of dY that rows lists (nil: all
+// rows), spreading the work over t's goroutines (nil: the calling goroutine
+// only). The parameter gradients receive exactly the additions that
+// backpropagating the listed rows one at a time, in list order, would make;
+// rows that are not listed contribute nothing. Only the listed rows of the
+// returned input gradient are written.
+func (m *MLP) BackwardRows(dY *Matrix, rows []int, t *Team) *Matrix {
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		dY = m.layers[i].Backward(dY)
+		dY = m.layers[i].backward(dY, rows, t)
 	}
 	return dY
 }

@@ -170,11 +170,21 @@ func leakyGrad(x float64) float64 {
 
 // Backward accumulates parameter gradients and returns dH.
 func (l *GATLayer) Backward(dY *Matrix) *Matrix {
+	dH := l.backwardPartial(dY, true, l.gradWTmp)
+	l.addPartial(l.dSrc, l.dDst, l.z, l.gradWTmp)
+	return dH
+}
+
+// backwardPartial computes everything Backward does except the additions
+// to the parameter gradients: the per-node attention-score gradients stay
+// in dSrc/dDst and the weight-gradient partial Hᵀ dZ goes to gradW, for
+// addPartial. It returns dH when input is set (nil otherwise).
+func (l *GATLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matrix {
 	if l.lastH == nil {
 		panic("nn: gat backward before forward")
 	}
 	n := l.lastH.Rows
-	l.Act.backwardInto(l.dS, dY, l.s, l.y)
+	l.Act.backwardInto(l.dS, dY, l.y)
 	dS := l.dS
 
 	// dZ from the aggregation: dZ = αᵀ dS.
@@ -218,19 +228,43 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 			dDst[j] += dRaw
 		}
 	}
-	// Attention-vector gradients and their Z contributions.
+	// The attention vectors' contributions to dZ.
 	for i := 0; i < n; i++ {
 		for c := 0; c < l.Out; c++ {
-			l.gradA1.Data[c] += dSrc[i] * l.z.At(i, c)
-			l.gradA2.Data[c] += dDst[i] * l.z.At(i, c)
 			dZ.Data[i*l.Out+c] += dSrc[i]*l.A1.Data[c] + dDst[i]*l.A2.Data[c]
 		}
 	}
 
-	matMulATInto(l.gradWTmp, l.lastH, dZ)
-	l.gradW.AddInPlace(l.gradWTmp)
+	matMulATInto(gradW, l.lastH, dZ)
+	if !input {
+		return nil
+	}
 	matMulBTInto(l.dH, dZ, l.W)
 	return l.dH
+}
+
+// addPartial adds one observation's gradient contributions, as
+// backwardPartial left them, into l's accumulators: the attention-vector
+// gradients node by node from the score gradients dSrc/dDst and the
+// transformed features z, then the weight-gradient partial gradW.
+func (l *GATLayer) addPartial(dSrc, dDst []float64, z, gradW *Matrix) {
+	for i := range dSrc {
+		for c := 0; c < l.Out; c++ {
+			l.gradA1.Data[c] += dSrc[i] * z.At(i, c)
+			l.gradA2.Data[c] += dDst[i] * z.At(i, c)
+		}
+	}
+	l.gradW.AddInPlace(gradW)
+}
+
+// replica returns a layer sharing l's parameters, with its own scratch and
+// no gradient accumulators.
+func (l *GATLayer) replica() *GATLayer {
+	return &GATLayer{
+		In: l.In, Out: l.Out, Act: l.Act, W: l.W, A1: l.A1, A2: l.A2,
+		z: new(Matrix), raw: new(Matrix), alpha: new(Matrix), s: new(Matrix), y: new(Matrix),
+		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix),
+	}
 }
 
 // Params exposes the layer parameters.
@@ -293,6 +327,40 @@ func (g *GAT) Backward(dY *Matrix) *Matrix {
 		dY = g.layers[i].Backward(dY)
 	}
 	return dY
+}
+
+// Replica implements Trunk.
+func (g *GAT) Replica() Trunk {
+	r := &GAT{}
+	for _, l := range g.layers {
+		r.layers = append(r.layers, l.replica())
+	}
+	return r
+}
+
+// BackwardPartials implements Trunk. Per layer, p keeps the weight-gradient
+// partial, a copy of Z and the attention-score gradients.
+func (g *GAT) BackwardPartials(dY *Matrix, p *Partials) {
+	m := p.mats(2 * len(g.layers))
+	for len(p.v) < 2*len(g.layers) {
+		p.v = append(p.v, nil)
+	}
+	for i := len(g.layers) - 1; i >= 0; i-- {
+		l := g.layers[i]
+		dY = l.backwardPartial(dY, i > 0, &m[2*i])
+		z := &m[2*i+1]
+		z.EnsureShape(l.z.Rows, l.z.Cols)
+		copy(z.Data, l.z.Data)
+		p.v[2*i] = append(p.v[2*i][:0], l.dSrc...)
+		p.v[2*i+1] = append(p.v[2*i+1][:0], l.dDst...)
+	}
+}
+
+// AddPartials implements Trunk.
+func (g *GAT) AddPartials(p *Partials) {
+	for i, l := range g.layers {
+		l.addPartial(p.v[2*i], p.v[2*i+1], &p.m[2*i+1], &p.m[2*i])
+	}
 }
 
 // Params lists all parameters.

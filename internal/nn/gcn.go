@@ -87,15 +87,36 @@ func (l *GCNLayer) Forward(sHat, h *Matrix) *Matrix {
 // Backward accumulates dW and returns dH, the gradient with respect to the
 // input node features. Ŝ is symmetric, so dH = Ŝ (dZ Wᵀ).
 func (l *GCNLayer) Backward(dY *Matrix) *Matrix {
+	dH := l.backwardPartial(dY, true, l.gradWTmp)
+	l.gradW.AddInPlace(l.gradWTmp)
+	return dH
+}
+
+// backwardPartial computes this observation's weight-gradient partial
+// (ŜH)ᵀdZ into gradW — not adding it to the layer's accumulator — and dH
+// when input is set (nil otherwise).
+func (l *GCNLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matrix {
 	if l.lastS == nil {
 		panic("nn: gcn backward before forward")
 	}
-	l.Act.backwardInto(l.dZ, dY, l.z, l.y)
-	matMulATInto(l.gradWTmp, l.sh, l.dZ)
-	l.gradW.AddInPlace(l.gradWTmp)
+	l.Act.backwardInto(l.dZ, dY, l.y)
+	matMulATInto(gradW, l.sh, l.dZ)
+	if !input {
+		return nil
+	}
 	matMulBTInto(l.dZW, l.dZ, l.W)
 	MatMulInto(l.dH, l.lastS, l.dZW)
 	return l.dH
+}
+
+// replica returns a layer sharing l's weight, with its own scratch and no
+// gradient accumulator.
+func (l *GCNLayer) replica() *GCNLayer {
+	return &GCNLayer{
+		In: l.In, Out: l.Out, Act: l.Act, W: l.W,
+		sh: new(Matrix), z: new(Matrix), y: new(Matrix),
+		dZ: new(Matrix), dZW: new(Matrix), dH: new(Matrix),
+	}
 }
 
 // Params exposes the layer weight to the optimizer.
@@ -153,13 +174,37 @@ func (g *GCN) Forward(sHat, h *Matrix) *Matrix {
 	return h
 }
 
-// Backward backpropagates through all layers and returns the gradient with
-// respect to the input features.
+// Backward backpropagates through all layers, accumulates the weight
+// gradients and returns the gradient with respect to the input features.
 func (g *GCN) Backward(dY *Matrix) *Matrix {
 	for i := len(g.layers) - 1; i >= 0; i-- {
 		dY = g.layers[i].Backward(dY)
 	}
 	return dY
+}
+
+// Replica implements Trunk.
+func (g *GCN) Replica() Trunk {
+	r := &GCN{}
+	for _, l := range g.layers {
+		r.layers = append(r.layers, l.replica())
+	}
+	return r
+}
+
+// BackwardPartials implements Trunk.
+func (g *GCN) BackwardPartials(dY *Matrix, p *Partials) {
+	m := p.mats(len(g.layers))
+	for i := len(g.layers) - 1; i >= 0; i-- {
+		dY = g.layers[i].backwardPartial(dY, i > 0, &m[i])
+	}
+}
+
+// AddPartials implements Trunk.
+func (g *GCN) AddPartials(p *Partials) {
+	for i, l := range g.layers {
+		l.gradW.AddInPlace(&p.m[i])
+	}
 }
 
 // Params lists all layer weights.

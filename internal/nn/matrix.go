@@ -98,18 +98,12 @@ func aliases(a, b *Matrix) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
-// MatMul returns a×b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes dst = a×b, resizing dst in place. dst must not alias
 // a or b. The inner loop skips zero elements of a (the propagation operator
-// Ŝ and the masked feature blocks are sparse); every matmul in the package
-// funnels through this kernel so single-row and batched evaluations execute
-// the identical floating-point operation sequence per output row.
+// Ŝ and the masked feature blocks are sparse); every forward matmul in the
+// package funnels through this kernel, and each output row depends on its
+// own row of a alone, so single-row and batched evaluations execute the
+// identical floating-point operation sequence per output row.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmul inner dims %d vs %d", a.Cols, b.Rows))
@@ -118,28 +112,58 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
+	matMulRows(dst, a, b, 0, a.Rows)
+}
+
+// matMulRows computes rows [lo, hi) of dst = a×b; dst is already shaped.
+// Each output row accumulates the rows of b scaled by the nonzero elements
+// of its row of a, in column order; four of them are added per pass over
+// the output row, which changes how often the row is loaded, not the
+// additions each element sees.
+func matMulRows(dst, a, b *Matrix, lo, hi int) {
+	w := b.Cols
+	brow := func(k int) []float64 { return b.Data[k*w : (k+1)*w] }
+	for i := lo; i < hi; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
+		orow := dst.Data[i*w : (i+1)*w]
+		clear(orow)
+		var ks [4]int
+		m := 0
 		for k, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			ks[m] = k
+			if m++; m == 4 {
+				addRows4(orow, arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
+					brow(ks[0]), brow(ks[1]), brow(ks[2]), brow(ks[3]))
+				m = 0
+			}
+		}
+		for _, k := range ks[:m] {
+			av, bk := arow[k], brow(k)
+			for j := range orow {
+				orow[j] += av * bk[j]
 			}
 		}
 	}
 }
 
+// addRows4 adds a0·b0, a1·b1, a2·b2 and a3·b3 into o, in that order,
+// element by element.
+func addRows4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		v := o[j]
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		o[j] = v
+	}
+}
+
 // matMulATInto computes dst = aᵀ×b without materializing the transpose.
-// The loop visits exactly the elements MatMulInto(dst, a.Transpose(), b)
-// would, in the same order, so results are bit-identical to the allocating
-// form the layers used before the scratch rewrite.
 func matMulATInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: matmul(aT,b) inner dims %d vs %d", a.Rows, b.Rows))
@@ -148,26 +172,79 @@ func matMulATInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Cols, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Cols; i++ {
-		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
-		for k := 0; k < a.Rows; k++ {
-			av := a.Data[k*a.Cols+i]
-			if av == 0 {
+	clear(dst.Data)
+	matMulATAddRows(dst, a, b, nil, 0, a.Cols)
+}
+
+// matMulATAddRows accumulates dst += aᵀ×b into rows [lo, hi) of dst, over
+// the rows of a and b that rows lists (nil: all rows). Every element sums
+// its terms one row at a time in list order, skipping zero elements of a,
+// so accumulating a batch row by row — or in chunks of rows, or over any
+// split of [lo, hi) — gives exactly the sum that adding each row's outer
+// product aₖᵀbₖ in turn gives. The explicit float64 conversions keep each
+// product rounded on its own, as it is when the outer product is formed
+// before the addition, on targets that would otherwise fuse the
+// multiply-add.
+func matMulATAddRows(dst, a, b *Matrix, rows []int, lo, hi int) {
+	n, w := rowCount(rows, a.Rows), b.Cols
+	brow := func(k int) []float64 { return b.Data[k*w : (k+1)*w] }
+	for i := lo; i < hi; i++ {
+		orow := dst.Data[i*w : (i+1)*w]
+		at := func(k int) float64 { return a.Data[k*a.Cols+i] }
+		var ks [4]int
+		m := 0
+		for r := 0; r < n; r++ {
+			k := rowAt(rows, r)
+			if at(k) == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			ks[m] = k
+			if m++; m == 4 {
+				addProducts4(orow, at(ks[0]), at(ks[1]), at(ks[2]), at(ks[3]),
+					brow(ks[0]), brow(ks[1]), brow(ks[2]), brow(ks[3]))
+				m = 0
+			}
+		}
+		for _, k := range ks[:m] {
+			av, bk := at(k), brow(k)
+			for j := range orow {
+				orow[j] += float64(av * bk[j])
 			}
 		}
 	}
 }
 
-// matMulBTInto computes dst = a×bᵀ without materializing the transpose,
-// bit-identical to MatMulInto(dst, a, b.Transpose()).
+// addProducts4 is addRows4 with every product rounded before its addition.
+func addProducts4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		v := o[j]
+		v += float64(a0 * b0[j])
+		v += float64(a1 * b1[j])
+		v += float64(a2 * b2[j])
+		v += float64(a3 * b3[j])
+		o[j] = v
+	}
+}
+
+// rowAt maps position r of a row list to a row index; a nil list is the
+// identity (every row, in order).
+func rowAt(rows []int, r int) int {
+	if rows == nil {
+		return r
+	}
+	return rows[r]
+}
+
+// rowCount is the length of a row list, n for the nil (all-rows) list.
+func rowCount(rows []int, n int) int {
+	if rows == nil {
+		return n
+	}
+	return len(rows)
+}
+
+// matMulBTInto computes dst = a×bᵀ without materializing the transpose.
 func matMulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul(a,bT) inner dims %d vs %d", a.Cols, b.Cols))
@@ -176,84 +253,52 @@ func matMulBTInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Rows, b.Rows)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+		matMulBTRow(dst, a, b, i)
+	}
+}
+
+// matMulBTRow computes row i of dst = a×bᵀ as contiguous dot products of
+// row i of a with each row of b, summed in column order from zero and
+// skipping zero elements of a — the same terms in the same order as
+// accumulating a's columns one at a time into the output row. Eight dot
+// products share each pass over the row of a.
+func matMulBTRow(dst, a, b *Matrix, i int) {
+	arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+	orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+	brow := func(j int) []float64 { return b.Data[j*b.Cols : j*b.Cols+len(arow)] }
+	j := 0
+	for ; j+8 <= len(orow); j += 8 {
+		b0, b1, b2, b3 := brow(j), brow(j+1), brow(j+2), brow(j+3)
+		b4, b5, b6, b7 := brow(j+4), brow(j+5), brow(j+6), brow(j+7)
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for k, av := range arow {
 			if av == 0 {
 				continue
 			}
-			for j := 0; j < b.Rows; j++ {
-				orow[j] += av * b.Data[j*b.Cols+k]
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+			s4 += av * b4[k]
+			s5 += av * b5[k]
+			s6 += av * b6[k]
+			s7 += av * b7[k]
+		}
+		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
+	}
+	for ; j < len(orow); j++ {
+		bj := brow(j)
+		var s float64
+		for k, av := range arow {
+			if av == 0 {
+				continue
 			}
+			s += av * bj[k]
 		}
+		orow[j] = s
 	}
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// Hadamard returns the element-wise product a⊙b.
-func Hadamard(a, b *Matrix) *Matrix {
-	shapeEqual("hadamard", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Flatten returns the matrix reshaped into a single row vector (a view
-// copy, not aliased).
-func (m *Matrix) Flatten() *Matrix {
-	out := NewMatrix(1, m.Rows*m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Reshape returns a copy with the new shape; the element count must match.
-func (m *Matrix) Reshape(rows, cols int) *Matrix {
-	if rows*cols != len(m.Data) {
-		panic(fmt.Sprintf("nn: cannot reshape %dx%d to %dx%d", m.Rows, m.Cols, rows, cols))
-	}
-	out := NewMatrix(rows, cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// ConcatCols horizontally concatenates row vectors or equal-row matrices.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0)
-	}
-	rows := ms[0].Rows
-	total := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("nn: concat rows %d vs %d", m.Rows, rows))
-		}
-		total += m.Cols
-	}
-	out := NewMatrix(rows, total)
-	for r := 0; r < rows; r++ {
-		off := 0
-		for _, m := range ms {
-			copy(out.Data[r*total+off:r*total+off+m.Cols], m.Data[r*m.Cols:(r+1)*m.Cols])
-			off += m.Cols
-		}
-	}
-	return out
 }
 
 // XavierInit fills m with Glorot-uniform values for a layer with the given
@@ -294,18 +339,6 @@ func ZeroGrads(ps []Param) {
 func ScaleGrads(ps []Param, s float64) {
 	for _, p := range ps {
 		p.Grad.ScaleInPlace(s)
-	}
-}
-
-// AddGrads accumulates src gradients into dst (parameter lists must come
-// from identically shaped networks). It implements the distributed gradient
-// sum of the parallel training scheme (§IV-C).
-func AddGrads(dst, src []Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: grad list length %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i].Grad.AddInPlace(src[i].Grad)
 	}
 }
 

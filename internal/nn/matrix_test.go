@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -36,11 +37,15 @@ func TestFromSlicePanicsOnBadLength(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := new(Matrix)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
+	if c.Rows != 2 || c.Cols != 2 {
+		t.Fatalf("MatMulInto shape %dx%d, want 2x2", c.Rows, c.Cols)
+	}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulInto = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -51,27 +56,71 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	MatMulInto(new(Matrix), NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
+// transposed returns mᵀ, the naive reference for the transposed kernels.
+func transposed(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// TestTranspose checks the kernels that multiply by a transpose without
+// materializing it against MatMulInto over an explicit transpose, bit for
+// bit, including the row-subset accumulating form the dense layers use.
 func TestTranspose(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	at := a.Transpose()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("shape %dx%d", at.Rows, at.Cols)
+	rng := rand.New(rand.NewSource(5))
+	rnd := func(r, c int) *Matrix {
+		m := NewMatrix(r, c)
+		for i := range m.Data {
+			if rng.Intn(4) > 0 { // keep some exact zeros for the skip paths
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+		return m
 	}
-	if at.At(0, 1) != 4 || at.At(2, 0) != 3 {
-		t.Fatalf("Transpose wrong: %v", at.Data)
+	a, b := rnd(5, 3), rnd(5, 4)
+	got, want := new(Matrix), new(Matrix)
+	matMulATInto(got, a, b)
+	MatMulInto(want, transposed(a), b)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("matMulATInto = %v, want %v", got.Data, want.Data)
+	}
+	c := rnd(6, 3)
+	matMulBTInto(got, c, a)
+	MatMulInto(want, c, transposed(a))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("matMulBTInto = %v, want %v", got.Data, want.Data)
+	}
+
+	// dst += aᵀb over rows {0, 2, 4}, in three row ranges of dst, equals
+	// adding the three rows' outer products one at a time.
+	rows := []int{0, 2, 4}
+	acc := rnd(3, 4)
+	ref := acc.Clone()
+	for _, lohi := range [][2]int{{0, 1}, {1, 3}} {
+		matMulATAddRows(acc, a, b, rows, lohi[0], lohi[1])
+	}
+	for _, k := range rows {
+		outer := new(Matrix)
+		matMulATInto(outer, FromSlice(1, 3, a.Data[k*3:k*3+3]), FromSlice(1, 4, b.Data[k*4:k*4+4]))
+		ref.AddInPlace(outer)
+	}
+	for i := range ref.Data {
+		if acc.Data[i] != ref.Data[i] {
+			t.Fatalf("matMulATAddRows = %v, want %v", acc.Data, ref.Data)
+		}
 	}
 }
 
-func TestHadamardAndAddScale(t *testing.T) {
+func TestAddScaleInPlace(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{4, 5, 6})
-	h := Hadamard(a, b)
-	if h.Data[0] != 4 || h.Data[2] != 18 {
-		t.Fatalf("Hadamard = %v", h.Data)
-	}
 	a.AddInPlace(b)
 	if a.Data[1] != 7 {
 		t.Fatalf("AddInPlace = %v", a.Data)
@@ -79,22 +128,6 @@ func TestHadamardAndAddScale(t *testing.T) {
 	a.ScaleInPlace(2)
 	if a.Data[0] != 10 {
 		t.Fatalf("ScaleInPlace = %v", a.Data)
-	}
-}
-
-func TestFlattenReshapeConcat(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	f := a.Flatten()
-	if f.Rows != 1 || f.Cols != 4 || f.Data[3] != 4 {
-		t.Fatalf("Flatten = %+v", f)
-	}
-	r := f.Reshape(2, 2)
-	if r.At(1, 0) != 3 {
-		t.Fatalf("Reshape wrong")
-	}
-	c := ConcatCols(FromSlice(1, 2, []float64{1, 2}), FromSlice(1, 3, []float64{3, 4, 5}))
-	if c.Cols != 5 || c.Data[4] != 5 {
-		t.Fatalf("ConcatCols = %+v", c)
 	}
 }
 
@@ -133,11 +166,7 @@ func TestParamHelpers(t *testing.T) {
 	if ps[0].Grad.Data[1] != 2 {
 		t.Fatal("ScaleGrads failed")
 	}
-	dst, src := mk(), mk()
-	AddGrads(dst, src)
-	if dst[0].Grad.Data[0] != 6 {
-		t.Fatal("AddGrads failed")
-	}
+	dst := mk()
 	CopyParams(dst, []Param{{Value: FromSlice(1, 2, []float64{9, 9}), Grad: NewMatrix(1, 2)}})
 	if dst[0].Value.Data[0] != 9 {
 		t.Fatal("CopyParams failed")

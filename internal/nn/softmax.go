@@ -144,22 +144,19 @@ func Entropy(probs []float64) float64 {
 	return h
 }
 
-// LogSoftmaxGrad returns the gradient of logProbs[action] with respect to
-// the (masked) logits: e_a − softmax(logits). Masked entries get zero
-// gradient, so fully disabled actions never receive updates.
+// LogSoftmaxGradInto writes the gradient of logProbs[action] with respect
+// to the (masked) logits, e_a − softmax(logits), into dst (grown as needed
+// and returned). Masked entries get zero gradient, so fully disabled
+// actions never receive updates.
 //
 // action must index a non-masked (finite) logit: log p(action) is -inf
 // there, and the e_a term would otherwise leave a +1 gradient on the
 // masked entry, pushing probability mass onto a disabled action. That
 // only happens when a caller stores an action inconsistent with its mask,
 // so it panics loudly instead of corrupting the policy.
-func LogSoftmaxGrad(logits []float64, action int) []float64 {
-	return LogSoftmaxGradInto(nil, logits, action)
-}
-
-// LogSoftmaxGradInto is LogSoftmaxGrad writing into dst (grown as needed
-// and returned). dst must not alias logits: the probabilities are computed
-// into dst first and the masked entries are then re-read from logits.
+//
+// dst must not alias logits: the probabilities are computed into dst first
+// and the masked entries are then re-read from logits.
 func LogSoftmaxGradInto(dst, logits []float64, action int) []float64 {
 	if math.IsInf(logits[action], -1) {
 		panic(fmt.Sprintf("nn: log-softmax gradient of masked action %d (logit is -inf)", action))
@@ -178,9 +175,9 @@ func LogSoftmaxGradInto(dst, logits []float64, action int) []float64 {
 
 // Scratch is a per-worker arena of reusable action-space vectors, sized
 // once from the policy's output dimension. Every exploration step and PPO
-// update step needs the same four intermediates (masked logits,
-// log-probabilities, probabilities, logit gradient); carving them out of
-// one arena keeps the sampling path allocation-free. The buffers are
+// update sample needs the same intermediates (raw and masked logits,
+// probabilities, log-probabilities); carving them out of one arena keeps
+// the sampling path allocation-free. The buffers are
 // mutually disjoint, but each one is overwritten by the next step — callers
 // that retain values must copy them out.
 type Scratch struct {
@@ -192,22 +189,19 @@ type Scratch struct {
 	Probs []float64
 	// LogProbs holds log-softmax values.
 	LogProbs []float64
-	// Grad holds the per-step logit gradient of the PPO update.
-	Grad []float64
 }
 
 // NewScratch builds an arena for an action space of the given size. One
-// backing array serves all five vectors.
+// backing array serves all four vectors.
 func NewScratch(actionSpace int) *Scratch {
 	if actionSpace <= 0 {
 		panic(fmt.Sprintf("nn: scratch action space must be positive, got %d", actionSpace))
 	}
-	slab := make([]float64, 5*actionSpace)
+	slab := make([]float64, 4*actionSpace)
 	s := &Scratch{}
 	s.Logits = slab[0*actionSpace : 1*actionSpace : 1*actionSpace]
 	s.Masked = slab[1*actionSpace : 2*actionSpace : 2*actionSpace]
 	s.Probs = slab[2*actionSpace : 3*actionSpace : 3*actionSpace]
 	s.LogProbs = slab[3*actionSpace : 4*actionSpace : 4*actionSpace]
-	s.Grad = slab[4*actionSpace : 5*actionSpace : 5*actionSpace]
 	return s
 }

@@ -123,7 +123,7 @@ func TestEntropy(t *testing.T) {
 func TestLogSoftmaxGradMatchesFiniteDifference(t *testing.T) {
 	logits := []float64{0.3, -1.2, 0.8, NegInf, 0.1}
 	action := 2
-	grad := LogSoftmaxGrad(logits, action)
+	grad := LogSoftmaxGradInto(nil, logits, action)
 	const eps = 1e-6
 	for i := range logits {
 		if math.IsInf(logits[i], -1) {
@@ -166,7 +166,7 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Regression: LogSoftmaxGrad on an action whose logit is -inf used to zero
+// Regression: LogSoftmaxGradInto on an action whose logit is -inf used to zero
 // the masked entry and then increment it, leaving a +1 gradient that
 // pushed probability mass onto a disabled action. It must panic instead.
 func TestLogSoftmaxGradMaskedActionPanics(t *testing.T) {
@@ -176,5 +176,5 @@ func TestLogSoftmaxGradMaskedActionPanics(t *testing.T) {
 		}
 	}()
 	logits := MaskLogits([]float64{1, 2, 3}, []bool{true, false, true})
-	LogSoftmaxGrad(logits, 1)
+	LogSoftmaxGradInto(nil, logits, 1)
 }

@@ -7,30 +7,47 @@ import (
 	"repro/internal/nn"
 )
 
-// ActorCritic abstracts the GCN+MLP networks of Fig. 3. The policy and
-// value heads share the GCN trunk; each head exposes its own parameter list
-// (trunk parameters appear in both, matching "the weights of the GCN are
-// updated twice", §IV-C) and its own forward/backward pair.
+// ActorCritic abstracts the GCN+MLP networks of Fig. 3 for the PPO update.
+// The policy and value heads share the GCN trunk; each head exposes its own
+// parameter list (trunk parameters appear in both, matching "the weights of
+// the GCN are updated twice", §IV-C) and its own batched forward/backward
+// pair. A batch is a slice of observations, one matrix row each.
+//
+// The batched passes must equal single-observation passes run one after
+// another: row i of a forward is what a forward of obs[i] alone computes,
+// and a backward adds to each gradient exactly what backpropagating the
+// listed rows one at a time, in order, adds. Update relies on this to stay
+// bit-identical to a per-sample loop.
 type ActorCritic interface {
-	// ForwardPolicy computes raw (unmasked) action logits for obs and
-	// caches activations for BackwardPolicy. The returned slice is borrowed
-	// network scratch: it is valid until the next forward call on the same
-	// ActorCritic and must not be modified or retained.
-	ForwardPolicy(obs Observation) []float64
-	// BackwardPolicy accumulates policy-head gradients for the upstream
-	// logit gradient.
-	BackwardPolicy(dLogits []float64)
+	// ForwardPolicyBatch computes raw (unmasked) action logits, one row per
+	// observation, and caches activations for BackwardPolicyBatch. The
+	// returned matrix is borrowed network scratch: valid until the next
+	// forward call, never to be modified or retained.
+	ForwardPolicyBatch(obs []Observation) *nn.Matrix
+	// BackwardPolicyBatch accumulates policy-head gradients for the rows
+	// of the last policy forward that rows lists, in list order; row r of
+	// dLogits holds the upstream logit gradient of forward row r. Rows
+	// that are not listed contribute nothing.
+	BackwardPolicyBatch(dLogits *nn.Matrix, rows []int)
 	// PolicyParams lists trunk + actor-head parameters.
 	PolicyParams() []nn.Param
 
-	// ForwardValue computes the value estimate for obs and caches
-	// activations for BackwardValue.
-	ForwardValue(obs Observation) float64
-	// BackwardValue accumulates value-head gradients.
-	BackwardValue(dValue float64)
+	// ForwardValueBatch computes the value estimate of each observation
+	// and caches activations for BackwardValueBatch. The returned slice is
+	// borrowed network scratch.
+	ForwardValueBatch(obs []Observation) []float64
+	// BackwardValueBatch accumulates value-head gradients for every row of
+	// the last value forward, in row order.
+	BackwardValueBatch(dValues []float64)
 	// ValueParams lists trunk + critic-head parameters.
 	ValueParams() []nn.Param
 }
+
+// updateChunk is the number of samples each batched pass of Update covers.
+// Processing the batch in fixed chunks bounds the activation memory at
+// paper-scale batches; gradients accumulate sample by sample in order, so
+// the chunk size never changes a result.
+var updateChunk = 32
 
 // PPOConfig collects the update hyperparameters (Table II plus the
 // SpinningUp defaults for iteration counts).
@@ -96,10 +113,15 @@ type PPO struct {
 	actorOpt  *nn.Adam
 	criticOpt *nn.Adam
 
-	// scratch backs the per-step masked-logits / probability / gradient
-	// vectors of Update, sized from the first step's logits; reusing it
-	// keeps the inner loops allocation-free across iterations and epochs.
+	// scratch backs the per-step masked-logits / probability vectors of
+	// Update, sized from the first step's logits; obs, rows, dLogits and
+	// dValues back the batched passes. Reusing them keeps the inner loops
+	// allocation-free across iterations and epochs.
 	scratch *nn.Scratch
+	obs     []Observation
+	rows    []int
+	dLogits nn.Matrix
+	dValues []float64
 }
 
 // scratchFor returns the update scratch arena, (re)built when the action
@@ -131,7 +153,11 @@ func (p *PPO) AdamSteps() (actor, critic int) {
 
 // Update performs one epoch's gradient updates from the buffered data:
 // gradient ascent on the PPO-clip objective for GCN+actor, gradient descent
-// on the value MSE for GCN+critic.
+// on the value MSE for GCN+critic. Each iteration forwards and
+// backpropagates the whole batch in chunks of updateChunk samples; losses,
+// statistics and gradients are summed sample by sample in buffer order, so
+// the result is bit-identical to forwarding and backpropagating one sample
+// at a time.
 func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 	steps, adv, ret, err := buf.Batch()
 	if err != nil {
@@ -149,6 +175,10 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 			return UpdateStats{}, fmt.Errorf("rl: step %d stores action %d that its mask disables", i, s.Action)
 		}
 	}
+	p.obs = p.obs[:0]
+	for _, s := range steps {
+		p.obs = append(p.obs, s.Obs)
+	}
 	n := float64(len(steps))
 	var stats UpdateStats
 
@@ -156,37 +186,29 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 	for iter := 0; iter < p.cfg.TrainPiIters; iter++ {
 		nn.ZeroGrads(ac.PolicyParams())
 		var loss, kl, entropy, clipped float64
-		for i, s := range steps {
-			logits := ac.ForwardPolicy(s.Obs)
-			sc := p.scratchFor(len(logits))
-			masked := nn.MaskLogitsInto(sc.Masked, logits, s.Mask)
-			logp := nn.LogSoftmaxInto(sc.LogProbs, masked)[s.Action]
-			ratio := math.Exp(logp - s.LogP)
-
-			a := adv[i]
-			clipLo, clipHi := 1-p.cfg.ClipRatio, 1+p.cfg.ClipRatio
-			unclipped := ratio * a
-			clampedRatio := math.Min(math.Max(ratio, clipLo), clipHi)
-			obj := math.Min(unclipped, clampedRatio*a)
-			loss += -obj
-			kl += s.LogP - logp
-			entropy += nn.Entropy(nn.SoftmaxInto(sc.Probs, masked))
-
-			// Gradient of -obj w.r.t. logp: active only when the
-			// unclipped branch is selected.
-			var dObjDLogp float64
-			if (a >= 0 && ratio <= clipHi) || (a < 0 && ratio >= clipLo) {
-				dObjDLogp = ratio * a
-			} else {
-				clipped++
-			}
-			if dObjDLogp != 0 {
-				gLogits := nn.LogSoftmaxGradInto(sc.Grad, masked, s.Action)
-				scale := -dObjDLogp / n // minimize loss = -mean(obj)
-				for j, g := range gLogits {
-					gLogits[j] = scale * g
+		for lo := 0; lo < len(steps); lo += updateChunk {
+			hi := min(lo+updateChunk, len(steps))
+			logits := ac.ForwardPolicyBatch(p.obs[lo:hi])
+			a := logits.Cols
+			sc := p.scratchFor(a)
+			p.dLogits.EnsureShape(hi-lo, a)
+			p.rows = p.rows[:0]
+			for i := lo; i < hi; i++ {
+				s, r := steps[i], i-lo
+				masked := nn.MaskLogitsInto(sc.Masked, logits.Data[r*a:(r+1)*a], s.Mask)
+				l, k, h, clip, back := p.policySample(sc, masked, s, adv[i], n, p.dLogits.Data[r*a:(r+1)*a])
+				loss += l
+				kl += k
+				entropy += h
+				if clip {
+					clipped++
 				}
-				ac.BackwardPolicy(gLogits)
+				if back {
+					p.rows = append(p.rows, r)
+				}
+			}
+			if len(p.rows) > 0 {
+				ac.BackwardPolicyBatch(&p.dLogits, p.rows)
 			}
 		}
 		stats.PolicyLoss = loss / n
@@ -208,11 +230,16 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 	for iter := 0; iter < p.cfg.TrainVIters; iter++ {
 		nn.ZeroGrads(ac.ValueParams())
 		var loss float64
-		for i, s := range steps {
-			v := ac.ForwardValue(s.Obs)
-			diff := v - ret[i]
-			loss += diff * diff
-			ac.BackwardValue(2 * diff / n)
+		for lo := 0; lo < len(steps); lo += updateChunk {
+			hi := min(lo+updateChunk, len(steps))
+			values := ac.ForwardValueBatch(p.obs[lo:hi])
+			p.dValues = p.dValues[:0]
+			for i := lo; i < hi; i++ {
+				diff := values[i-lo] - ret[i]
+				loss += diff * diff
+				p.dValues = append(p.dValues, 2*diff/n)
+			}
+			ac.BackwardValueBatch(p.dValues)
 		}
 		stats.ValueLoss = loss / n
 		if p.cfg.MaxGradNorm > 0 {
@@ -221,6 +248,39 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 		p.criticOpt.Step(ac.ValueParams())
 	}
 	return stats, nil
+}
+
+// policySample evaluates the PPO-clip objective of one sample from its
+// masked logits: the sample's loss, KL and entropy terms, whether the
+// clipped branch is active, and whether grad received the gradient of the
+// batch-mean loss with respect to the sample's logits (only the unclipped
+// branch has one, and only when it is nonzero).
+func (p *PPO) policySample(sc *nn.Scratch, masked []float64, s Step, a, n float64, grad []float64) (loss, kl, entropy float64, clipped, backprop bool) {
+	logp := nn.LogSoftmaxInto(sc.LogProbs, masked)[s.Action]
+	ratio := math.Exp(logp - s.LogP)
+
+	clipLo, clipHi := 1-p.cfg.ClipRatio, 1+p.cfg.ClipRatio
+	unclipped := ratio * a
+	clampedRatio := math.Min(math.Max(ratio, clipLo), clipHi)
+	obj := math.Min(unclipped, clampedRatio*a)
+	loss, kl = -obj, s.LogP-logp
+	entropy = nn.Entropy(nn.SoftmaxInto(sc.Probs, masked))
+
+	// Gradient of -obj w.r.t. logp: active only when the unclipped branch
+	// is selected.
+	if !((a >= 0 && ratio <= clipHi) || (a < 0 && ratio >= clipLo)) {
+		return loss, kl, entropy, true, false
+	}
+	dObjDLogp := ratio * a
+	if dObjDLogp == 0 {
+		return loss, kl, entropy, false, false
+	}
+	nn.LogSoftmaxGradInto(grad, masked, s.Action)
+	scale := -dObjDLogp / n // minimize loss = -mean(obj)
+	for j, g := range grad {
+		grad[j] = scale * g
+	}
+	return loss, kl, entropy, false, true
 }
 
 // RewardScaler maps raw rewards into a small range by dividing by Scale

@@ -10,19 +10,51 @@ import (
 )
 
 // testAC is a minimal actor-critic over nn.Matrix observations, used to
-// exercise PPO end to end on a toy problem.
+// exercise PPO end to end on a toy problem. It implements both the batched
+// ActorCritic interface and the per-sample one of the reference update.
 type testAC struct {
 	actor  *nn.MLP
 	critic *nn.MLP
+	// xPolicy / xValue hold the stacked inputs of the last batched
+	// forwards, which the layers cache until the matching backward.
+	xPolicy, xValue *nn.Matrix
 }
 
-var _ ActorCritic = (*testAC)(nil)
+var _ perSampleAC = (*testAC)(nil)
 
 func newTestAC(rng *rand.Rand, obsDim, nActions int) *testAC {
 	return &testAC{
 		actor:  nn.NewMLP(rng, obsDim, []int{16}, nActions, nn.Tanh),
 		critic: nn.NewMLP(rng, obsDim, []int{16}, 1, nn.Tanh),
 	}
+}
+
+// stack row-stacks 1×d observations.
+func stack(obs []Observation) *nn.Matrix {
+	d := obs[0].(*nn.Matrix).Cols
+	x := nn.NewMatrix(len(obs), d)
+	for i, o := range obs {
+		copy(x.Data[i*d:(i+1)*d], o.(*nn.Matrix).Data)
+	}
+	return x
+}
+
+func (t *testAC) ForwardPolicyBatch(obs []Observation) *nn.Matrix {
+	t.xPolicy = stack(obs)
+	return t.actor.Forward(t.xPolicy)
+}
+
+func (t *testAC) BackwardPolicyBatch(dLogits *nn.Matrix, rows []int) {
+	t.actor.BackwardRows(dLogits, rows, nil)
+}
+
+func (t *testAC) ForwardValueBatch(obs []Observation) []float64 {
+	t.xValue = stack(obs)
+	return t.critic.Forward(t.xValue).Data
+}
+
+func (t *testAC) BackwardValueBatch(dValues []float64) {
+	t.critic.Backward(nn.FromSlice(len(dValues), 1, append([]float64(nil), dValues...)))
 }
 
 func (t *testAC) ForwardPolicy(obs Observation) []float64 {
@@ -49,7 +81,7 @@ func (t *testAC) ValueParams() []nn.Param { return t.critic.Params() }
 
 // sampleAction draws an action from the masked policy and returns the
 // action with its log-probability.
-func sampleAction(rng *rand.Rand, ac ActorCritic, obs Observation, mask []bool) (int, float64) {
+func sampleAction(rng *rand.Rand, ac perSampleAC, obs Observation, mask []bool) (int, float64) {
 	logits := ac.ForwardPolicy(obs)
 	masked := nn.MaskLogits(logits, mask)
 	probs := nn.Softmax(masked)

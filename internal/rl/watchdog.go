@@ -75,6 +75,12 @@ func (p *PPO) LearningRates() (actor, critic float64) {
 // itself contains non-finite data fails immediately: no learning rate can
 // fix poisoned inputs.
 func (p *PPO) UpdateWithRecovery(ac ActorCritic, buf *Buffer, retries int) (UpdateStats, RecoveryInfo, error) {
+	return p.withRecovery(ac, buf, retries, p.Update)
+}
+
+// withRecovery is UpdateWithRecovery over an arbitrary update function with
+// Update's contract.
+func (p *PPO) withRecovery(ac ActorCritic, buf *Buffer, retries int, update func(ActorCritic, *Buffer) (UpdateStats, error)) (UpdateStats, RecoveryInfo, error) {
 	info := RecoveryInfo{ActorLR: p.actorOpt.LR, CriticLR: p.criticOpt.LR}
 	if retries < 0 {
 		return UpdateStats{}, info, fmt.Errorf("rl: negative divergence retry budget %d", retries)
@@ -88,7 +94,7 @@ func (p *PPO) UpdateWithRecovery(ac ActorCritic, buf *Buffer, retries int) (Upda
 		actorSt := p.actorOpt.Export()
 		criticSt := p.criticOpt.Export()
 
-		stats, panicked, err := p.updateGuarded(ac, buf)
+		stats, panicked, err := updateGuarded(update, ac, buf)
 		if err != nil {
 			return stats, info, err
 		}
@@ -118,17 +124,17 @@ func (p *PPO) UpdateWithRecovery(ac ActorCritic, buf *Buffer, retries int) (Upda
 	}
 }
 
-// updateGuarded runs Update with panic isolation. Non-finite weights can
+// updateGuarded runs an update with panic isolation. Non-finite weights can
 // surface as panics deep inside the math (e.g. a log-softmax over all-NaN
 // logits looks fully masked); the watchdog must treat those exactly like a
 // NaN loss — roll back and retry — rather than crash the training run.
-func (p *PPO) updateGuarded(ac ActorCritic, buf *Buffer) (stats UpdateStats, panicked error, err error) {
+func updateGuarded(update func(ActorCritic, *Buffer) (UpdateStats, error), ac ActorCritic, buf *Buffer) (stats UpdateStats, panicked error, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = fmt.Errorf("rl: ppo update panicked: %v", r)
 		}
 	}()
-	stats, err = p.Update(ac, buf)
+	stats, err = update(ac, buf)
 	return stats, nil, err
 }
 

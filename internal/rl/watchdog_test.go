@@ -10,28 +10,28 @@ import (
 	"repro/internal/nn"
 )
 
-// nanAC wraps testAC and injects NaN into the first `poison` policy
-// gradients, deterministically driving Adam to non-finite weights so the
-// divergence watchdog has something to catch.
+// nanAC wraps testAC and injects NaN into the first `poison` batched
+// policy gradients, deterministically driving Adam to non-finite weights so
+// the divergence watchdog has something to catch.
 type nanAC struct {
 	*testAC
 	poison int
 }
 
-func (a *nanAC) BackwardPolicy(d []float64) {
+func (a *nanAC) BackwardPolicyBatch(d *nn.Matrix, rows []int) {
 	if a.poison > 0 {
 		a.poison--
-		d = append([]float64(nil), d...)
-		for i := range d {
-			d[i] = math.NaN()
+		d = d.Clone()
+		for i := range d.Data {
+			d.Data[i] = math.NaN()
 		}
 	}
-	a.testAC.BackwardPolicy(d)
+	a.testAC.BackwardPolicyBatch(d, rows)
 }
 
 // fillBanditBuffer collects one epoch of the 3-armed bandit used by the PPO
 // tests, so updates have realistic finite data.
-func fillBanditBuffer(rng *rand.Rand, ac ActorCritic, n, nActions int) *Buffer {
+func fillBanditBuffer(rng *rand.Rand, ac perSampleAC, n, nActions int) *Buffer {
 	obs := nn.FromSlice(1, 1, []float64{1})
 	mask := make([]bool, nActions)
 	for i := range mask {

@@ -144,22 +144,34 @@ func (c *Client) Submit(ctx context.Context, req Request) (Status, error) {
 		return Status{}, err
 	}
 	var lastErr error
+	var retryAfter time.Duration
+	// unresolved: a post failed ambiguously and no listing has yet shown
+	// whether the server holds the job, so posting again could plan it
+	// twice.
+	unresolved := false
 	for attempt := 0; ; attempt++ {
-		st, retryAfter, ambiguous, err := c.postJob(ctx, body)
-		if err == nil {
-			return st, nil
-		}
-		lastErr = err
-		if !retryableSubmit(err) || attempt >= c.retries() {
-			return Status{}, lastErr
-		}
-		if ambiguous && fingerprint != "" {
-			// The server may have accepted the job before the connection
-			// died; resubmitting would plan it twice. Adopt the existing
-			// job when the fingerprint resolves.
-			if st, ok := c.FindByFingerprint(ctx, fingerprint); ok {
+		if !unresolved {
+			st, ra, ambiguous, err := c.postJob(ctx, body)
+			if err == nil {
 				return st, nil
 			}
+			lastErr, retryAfter = err, ra
+			if !retryableSubmit(err) {
+				return Status{}, lastErr
+			}
+			unresolved = ambiguous && fingerprint != ""
+		}
+		if attempt >= c.retries() {
+			return Status{}, lastErr
+		}
+		if unresolved {
+			// Adopt the job when a listing shows it; post again only once a
+			// listing shows it absent, and list again while listings fail.
+			st, found, err := c.findByFingerprint(ctx, fingerprint)
+			if found {
+				return st, nil
+			}
+			unresolved = err != nil
 		}
 		if serr := c.sleep(ctx, c.delay(attempt, retryAfter)); serr != nil {
 			// The caller gave up mid-backoff: surface the cancellation (so
@@ -222,9 +234,16 @@ func retryableSubmit(err error) bool {
 // failover hand-offs idempotent — adopting work a replica already owns
 // instead of planning it twice.
 func (c *Client) FindByFingerprint(ctx context.Context, fingerprint string) (Status, bool) {
+	st, found, _ := c.findByFingerprint(ctx, fingerprint)
+	return st, found
+}
+
+// findByFingerprint is FindByFingerprint that also reports a failed
+// listing, which leaves open whether the server holds the job.
+func (c *Client) findByFingerprint(ctx context.Context, fingerprint string) (Status, bool, error) {
 	var all []Status
 	if err := c.getJSON(ctx, "/v1/jobs", &all); err != nil {
-		return Status{}, false
+		return Status{}, false, err
 	}
 	found := false
 	var best Status
@@ -236,7 +255,7 @@ func (c *Client) FindByFingerprint(ctx context.Context, fingerprint string) (Sta
 			best, found = st, true
 		}
 	}
-	return best, found
+	return best, found, nil
 }
 
 // Get returns a job's status, retrying transient failures.

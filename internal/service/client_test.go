@@ -15,8 +15,11 @@ import (
 // dropFirstPost forwards everything to the real API but kills the
 // connection of the first POST after the engine has accepted the job —
 // the ambiguous-failure shape: the submission landed, the response died.
+// With failLists > 0 the job listings that follow the drop fail with a 500
+// that many times.
 type dropFirstPost struct {
-	mux http.Handler
+	mux       http.Handler
+	failLists int
 
 	mu      sync.Mutex
 	dropped bool
@@ -28,7 +31,15 @@ func (d *dropFirstPost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if drop {
 		d.dropped = true
 	}
+	failList := r.Method == http.MethodGet && r.URL.Path == "/v1/jobs" && d.dropped && d.failLists > 0
+	if failList {
+		d.failLists--
+	}
 	d.mu.Unlock()
+	if failList {
+		http.Error(w, `{"error":"listing unavailable"}`, http.StatusInternalServerError)
+		return
+	}
 	if !drop {
 		d.mux.ServeHTTP(w, r)
 		return
@@ -74,6 +85,29 @@ func TestClientSubmitIdempotentAcrossConnectionLoss(t *testing.T) {
 	}
 	if _, err := c.Result(ctx, st.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientSubmitIdempotentWhenLookupFails: the first POST is accepted
+// but its response is lost, and the listing the client consults to adopt
+// the job fails through a whole retry round. Not knowing whether the
+// server holds the job, the client must list again rather than post again.
+func TestClientSubmitIdempotentWhenLookupFails(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 1})
+	// Retries 2: each listing tries three times, so three failures sink
+	// the first lookup and the second one succeeds.
+	srv := httptest.NewServer(&dropFirstPost{mux: NewMux(m, nil), failLists: 3})
+	defer srv.Close()
+
+	c := &Client{BaseURL: srv.URL, Retries: 2, Backoff: 5 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := c.Submit(ctx, tinyRequest(t))
+	if err != nil {
+		t.Fatalf("submit across a dropped connection and failed listings: %v", err)
+	}
+	if jobs := m.List(); len(jobs) != 1 || jobs[0].ID != st.ID {
+		t.Fatalf("server holds %d jobs, want the adopted one only — the retry duplicated the submission", len(jobs))
 	}
 }
 

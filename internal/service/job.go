@@ -302,6 +302,10 @@ type job struct {
 	// lives have started it.
 	req      *Request
 	attempts int
+	// journal serializes the job's record writes: a record is snapshotted
+	// and written under it, so the last record on disk is the newest
+	// snapshot, never one taken before a newer record was written.
+	journal sync.Mutex
 	// base is the resolved base fingerprint for delta jobs; warm is the
 	// base plan decoded against the derived problem (nil = plan cold).
 	base string

@@ -1140,6 +1140,8 @@ func (m *Manager) persist(j *job) {
 	if m.opt.Dir == "" {
 		return
 	}
+	j.journal.Lock()
+	defer j.journal.Unlock()
 	rec := record{Status: j.status(), Attempts: j.attempts}
 	j.mu.Lock()
 	rec.Result = j.result
