@@ -27,6 +27,7 @@ type Nets struct {
 	numVertices int
 	featDim     int
 	embedCols   int // per-node embedding width after the GCN
+	liveCols    int // MLP input columns that carry a trunk gradient
 	actionSpace int
 	trunkCost   int // approximate multiply-adds of one trunk forward
 
@@ -41,24 +42,30 @@ type Nets struct {
 	dOut   *nn.Matrix // upstream gradient wrapper for BackwardPolicy/Value
 	dEmb   nn.Matrix  // view onto the embedding slice of the input gradient
 
+	// single-observation passes: the trunk activations of the last
+	// forward and room for its trunk-gradient contributions
+	act  nn.Activations
+	part nn.Partials
+
 	// caches for backward passes
 	lastPolicyObs *Obs
 	lastValueObs  *Obs
 
 	// batched training passes (ForwardPolicyBatch & co.)
 	team     nn.Team
-	mu       sync.Mutex     // guards idle
-	idle     []*trunkWorker // trunk replicas not in use by a goroutine
-	partials []nn.Partials  // per batch row: trunk-gradient contributions
-	added    atomic.Int64   // rows of the running backward added in order
-	batchObs []*Obs         // the batch's observations
-	dX       *nn.Matrix     // MLP input gradient of the running backward
-	rows     []int          // rows of the running backward (nil: all)
+	acts     []nn.Activations // per batch row: the trunk activations
+	mu       sync.Mutex       // guards idle
+	idle     []*trunkWorker   // trunk replicas not in use by a goroutine
+	partials []nn.Partials    // per batch row: trunk-gradient contributions
+	added    atomic.Int64     // rows of the running backward added in order
+	batchObs []*Obs           // the batch's observations
+	dX       *nn.Matrix       // MLP input gradient of the running backward
+	rows     []int            // rows of the running backward (nil: all)
 }
 
-// trunkWorker is one goroutine's graph trunk in a batched pass: a replica
-// sharing the trunk's weights, the view of a row's embedding gradient, and
-// room for a row's trunk-gradient contributions.
+// trunkWorker is one goroutine's trunk backward: a replica sharing the
+// trunk's weights with its own backward scratch, the view of a row's
+// embedding gradient, and room for a row's trunk-gradient contributions.
 type trunkWorker struct {
 	trunk    nn.Trunk
 	dEmb     nn.Matrix
@@ -86,9 +93,14 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		trunk = nn.NewGCN(rng, cfg.GCNLayers, featDim, cfg.GCNHidden, cfg.EmbeddingPerNode)
 	}
 	embedCols := trunk.OutFeatures(featDim)
-	trunkCost := 0 // the first layer's n×featDim by featDim×GCNHidden product dominates
+	// A dense bound on a trunk forward: the first layer as if it were an
+	// n×featDim by featDim×GCNHidden product. Only the split of the batched
+	// loops across goroutines depends on it.
+	trunkCost, liveCols := 0, 0
 	if cfg.GCNLayers > 0 {
 		trunkCost = n * featDim * cfg.GCNHidden
+		// Both trunks end in a ReLU, and the parameter vector is constant.
+		liveCols = n * embedCols
 	}
 	mlpIn := n*embedCols + enc.ParamDim()
 	nt := &Nets{
@@ -100,6 +112,7 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		featDim:     featDim,
 		trunkCost:   trunkCost,
 		embedCols:   embedCols,
+		liveCols:    liveCols,
 		actionSpace: actionSpace,
 		xRow:        nn.NewMatrix(1, mlpIn),
 		batchX:      new(nn.Matrix),
@@ -118,12 +131,15 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 	return nt, nil
 }
 
-// operator selects the trunk's propagation input for an observation.
-func (nt *Nets) operator(o *Obs) *nn.Matrix {
-	if nt.useGAT {
-		return o.Mask
+// graph returns an observation as the trunk reads it.
+func (nt *Nets) graph(o *Obs) nn.Graph {
+	switch {
+	case nt.gcn.NumLayers() == 0:
+		return nn.Graph{X: o.Feat}
+	case nt.useGAT:
+		return nn.Graph{X: o.Feat, S: o.SHat}
 	}
-	return o.SHat
+	return o.gcnGraph()
 }
 
 // asObs unwraps an rl observation.
@@ -137,7 +153,7 @@ func asObs(obs rl.Observation) *Obs {
 
 // embed runs the graph trunk and assembles the MLP input into xRow.
 func (nt *Nets) embed(obs *Obs) *nn.Matrix {
-	emb := nt.gcn.Forward(nt.operator(obs), obs.Feat)
+	emb := nt.gcn.Forward(nt.graph(obs), &nt.act)
 	embLen := nt.numVertices * nt.embedCols
 	copy(nt.xRow.Data[:embLen], emb.Data)
 	copy(nt.xRow.Data[embLen:], obs.Params.Data)
@@ -151,7 +167,8 @@ func (nt *Nets) backThroughEmbedding(dIn *nn.Matrix) {
 	embLen := nt.numVertices * nt.embedCols
 	nt.dEmb.Rows, nt.dEmb.Cols = nt.numVertices, nt.embedCols
 	nt.dEmb.Data = dIn.Data[:embLen]
-	nt.gcn.Backward(&nt.dEmb)
+	nt.gcn.Backward(&nt.dEmb, &nt.act, &nt.part)
+	nt.gcn.AddPartials(&nt.part)
 }
 
 // ForwardPolicy computes the actor's logits for one observation and caches
@@ -253,7 +270,7 @@ func (nt *Nets) ForwardPolicyBatch(obs []rl.Observation) *nn.Matrix {
 
 // BackwardPolicyBatch implements rl.ActorCritic.
 func (nt *Nets) BackwardPolicyBatch(dLogits *nn.Matrix, rows []int) {
-	nt.backThroughEmbeddings(nt.actor.BackwardRows(dLogits, rows, &nt.team), rows)
+	nt.backThroughEmbeddings(nt.actor.BackwardRows(dLogits, rows, nt.liveCols, &nt.team), rows)
 }
 
 // ForwardValueBatch implements rl.ActorCritic: the critic's estimates for a
@@ -267,7 +284,7 @@ func (nt *Nets) ForwardValueBatch(obs []rl.Observation) []float64 {
 func (nt *Nets) BackwardValueBatch(dValues []float64) {
 	nt.dOut.EnsureShape(len(dValues), 1)
 	copy(nt.dOut.Data, dValues)
-	nt.backThroughEmbeddings(nt.critic.BackwardRows(nt.dOut, nil, &nt.team), nil)
+	nt.backThroughEmbeddings(nt.critic.BackwardRows(nt.dOut, nil, nt.liveCols, &nt.team), nil)
 }
 
 // setBatch makes obs the batch of the next embedBatch.
@@ -280,9 +297,13 @@ func (nt *Nets) setBatch(obs []rl.Observation) {
 
 // embedBatch stacks the MLP inputs of the batch's observations into the
 // rows of batchX, spreading the rows over t's goroutines (nil: the calling
-// goroutine only), each embedding through its own trunk replica.
+// goroutine only). Each row's trunk activations stay in its own
+// Activations until the backward pass reads them.
 func (nt *Nets) embedBatch(t *nn.Team) *nn.Matrix {
 	nt.batchX.EnsureShape(len(nt.batchObs), len(nt.xRow.Data))
+	for len(nt.acts) < len(nt.batchObs) {
+		nt.acts = append(nt.acts, nn.Activations{})
+	}
 	t.For(len(nt.batchObs), nt.trunkCost, trunkForward{nt})
 	return nt.batchX
 }
@@ -292,13 +313,11 @@ type trunkForward struct{ nt *Nets }
 
 func (f trunkForward) Run(lo, hi int) {
 	nt := f.nt
-	w := nt.takeWorker()
-	defer nt.putWorker(w)
 	embLen := nt.numVertices * nt.embedCols
 	for i := lo; i < hi; i++ {
 		o := nt.batchObs[i]
 		row := nt.batchX.Data[i*nt.batchX.Cols : (i+1)*nt.batchX.Cols]
-		copy(row[:embLen], w.trunk.Forward(nt.operator(o), o.Feat).Data)
+		copy(row[:embLen], nt.gcn.Forward(nt.graph(o), &nt.acts[i]).Data)
 		copy(row[embLen:], o.Params.Data)
 	}
 }
@@ -310,9 +329,7 @@ func (f trunkForward) Run(lo, hi int) {
 // backpropagating the rows one at a time makes. A shard that starts once
 // every row before it has been added adds its rows' contributions as it
 // goes; the other shards keep theirs in nt.partials until the loop is
-// done. A replica holds the activations of one observation at a time, so
-// each row is forwarded through the trunk again before its backward:
-// recomputing is cheaper than keeping every row's activations.
+// done. Each row's backward reads the activations its forward kept.
 func (nt *Nets) backThroughEmbeddings(dX *nn.Matrix, rows []int) {
 	n := dX.Rows
 	if rows != nil {
@@ -352,15 +369,13 @@ func (f trunkBackward) Run(lo, hi int) {
 	embLen := nt.numVertices * nt.embedCols
 	for r := lo; r < hi; r++ {
 		i := nt.row(r)
-		o := nt.batchObs[i]
-		w.trunk.Forward(nt.operator(o), o.Feat)
 		w.dEmb.Rows, w.dEmb.Cols = nt.numVertices, nt.embedCols
 		w.dEmb.Data = nt.dX.Data[i*nt.dX.Cols : i*nt.dX.Cols+embLen]
 		p := &nt.partials[i]
 		if direct {
 			p = &w.partials
 		}
-		w.trunk.BackwardPartials(&w.dEmb, p)
+		w.trunk.Backward(&w.dEmb, &nt.acts[i], p)
 		if direct {
 			nt.gcn.AddPartials(p)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/nn"
 )
 
@@ -10,14 +12,28 @@ import (
 // vector (flow periods, frame sizes, base period).
 type Obs struct {
 	// SHat is the normalized propagation operator Ŝ of the current
-	// topology (|Vc|×|Vc|), consumed by the GCN trunk.
-	SHat *nn.Matrix
-	// Mask is the self-looped 0/1 adjacency, consumed by the GAT trunk.
-	Mask *nn.Matrix
+	// topology (|Vc|×|Vc|), kept as its nonzero entries. Its nonzero
+	// pattern is the self-looped adjacency A + I: the GCN trunk
+	// propagates over Ŝ, the GAT trunk attends over the pattern.
+	SHat *nn.Sparse
 	// Feat is the node feature matrix, |Vc| × (1 + |Vc| + |Ves| + K).
 	Feat *nn.Matrix
 	// Params is the 1×P flow/network parameter row vector.
 	Params *nn.Matrix
+
+	// gcn is the observation as a GCN trunk reads it, with the first
+	// layer's propagated input ŜX computed on first use: one observation
+	// is forwarded many times per PPO update, and may sit in a batch more
+	// than once.
+	gcnOnce sync.Once
+	gcn     nn.Graph
+}
+
+// gcnGraph returns the observation as a GCN trunk reads it; safe for
+// concurrent use.
+func (o *Obs) gcnGraph() nn.Graph {
+	o.gcnOnce.Do(func() { o.gcn = nn.GCNGraph(o.SHat, o.Feat) })
+	return o.gcn
 }
 
 // Encoder builds observations for a problem instance. Feature widths are
@@ -170,8 +186,7 @@ func (e *Encoder) Encode(state *TSSDN, actions *ActionSet) *Obs {
 	}
 
 	return &Obs{
-		SHat:   nn.NormalizeAdjacency(adj),
-		Mask:   nn.SelfLoopMask(adj),
+		SHat:   nn.NewSparse(nn.NormalizeAdjacency(adj)),
 		Feat:   feat,
 		Params: e.params,
 	}

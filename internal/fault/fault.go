@@ -63,8 +63,9 @@ const (
 	// stuck worker that only an external watchdog can unwedge (compute
 	// points).
 	KindHang
-	// KindDelay sleeps Rule.Delay (or until the context is cancelled) — a
-	// slow step (compute points).
+	// KindDelay sleeps Rule.Delay (or, at compute points and HTTP
+	// requests, until the context is cancelled) — a slow step, request or
+	// disk (compute points, http.roundtrip, fs.write).
 	KindDelay
 )
 
@@ -263,6 +264,12 @@ func (in *Injector) Err(point string) error {
 	if !ok {
 		return nil
 	}
+	return in.errorFor(r, point, n)
+}
+
+// errorFor is the error a fired KindError or KindENOSPC rule injects on
+// call n of point.
+func (in *Injector) errorFor(r Rule, point string, n int) error {
 	if r.Kind == KindENOSPC {
 		return fmt.Errorf("fault: injected at %s call %d (seed %d): %w", point, n, in.seed, syscall.ENOSPC)
 	}
@@ -348,8 +355,23 @@ func (in *Injector) Stats() string {
 // not the file.
 type FS struct{ In *Injector }
 
-// Write is consulted before the temp-file content write.
-func (f FS) Write(string) error { return f.In.Err(PointFSWrite) }
+// Write is consulted before the temp-file content write. Besides the error
+// kinds it honours KindDelay: the write is held for Rule.Delay, then goes
+// ahead — a slow disk. One consultation counts one call, whichever kind
+// fires.
+func (f FS) Write(string) error {
+	r, n, ok := f.In.decide(PointFSWrite, func(k Kind) bool {
+		return k == KindError || k == KindENOSPC || k == KindDelay
+	})
+	if !ok {
+		return nil
+	}
+	if r.Kind == KindDelay {
+		time.Sleep(r.Delay)
+		return nil
+	}
+	return f.In.errorFor(r, PointFSWrite, n)
+}
 
 // Sync is consulted before the temp file's fsync.
 func (f FS) Sync(string) error { return f.In.Err(PointFSSync) }

@@ -176,6 +176,33 @@ func TestFirePanicHangDelay(t *testing.T) {
 	}
 }
 
+// TestFSWriteDelay: the FS adapter's write hook holds a write for a delay
+// rule and lets it through, fails it for an error rule, and counts one call
+// per consultation either way.
+func TestFSWriteDelay(t *testing.T) {
+	in := New(1,
+		Rule{Point: PointFSWrite, Kind: KindDelay, Calls: []int{1}, Delay: 30 * time.Millisecond},
+		Rule{Point: PointFSWrite, Kind: KindENOSPC, Calls: []int{2}},
+	)
+	fs := FS{In: in}
+	start := time.Now()
+	if err := fs.Write("x"); err != nil {
+		t.Fatalf("delayed write failed: %v", err)
+	}
+	if d := time.Since(start); d < 25*time.Millisecond {
+		t.Fatalf("delayed write held for only %s", d)
+	}
+	if err := fs.Write("x"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("call 2 = %v, want ENOSPC", err)
+	}
+	if err := fs.Write("x"); err != nil {
+		t.Fatalf("call 3 = %v, want nil", err)
+	}
+	if in.Calls(PointFSWrite) != 3 || in.Fired(PointFSWrite) != 2 {
+		t.Fatalf("calls/fired = %d/%d, want 3/2", in.Calls(PointFSWrite), in.Fired(PointFSWrite))
+	}
+}
+
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
 	if err := in.Err("fs.write"); err != nil {

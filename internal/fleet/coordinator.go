@@ -678,11 +678,16 @@ func (c *Coordinator) lookup(id string) *fleetJob {
 	return c.jobs[id]
 }
 
-// replicaByID resolves a replica.
-func (c *Coordinator) replicaByID(id string) *replica {
+// replicaByID resolves a replica to a snapshot taken under c.mu, like
+// route's: re-registration and the monitor rewrite the live replica.
+func (c *Coordinator) replicaByID(id string) (target, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.replicas[id]
+	r := c.replicas[id]
+	if r == nil {
+		return target{}, false
+	}
+	return target{id: r.id, state: r.state, client: r.client}, true
 }
 
 // Get returns a job's fleet status, refreshed from its replica when the
@@ -731,8 +736,8 @@ func (c *Coordinator) Result(ctx context.Context, id string) (*service.Result, e
 		r.JobID = id
 		return &r, nil
 	}
-	rep := c.replicaByID(rid)
-	if rep == nil {
+	rep, ok := c.replicaByID(rid)
+	if !ok {
 		return nil, ErrNoReplicas
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
@@ -760,8 +765,8 @@ func (c *Coordinator) Cancel(ctx context.Context, id string) (JobStatus, error) 
 	j.mu.Lock()
 	rid, remote := j.replicaID, j.remoteID
 	j.mu.Unlock()
-	rep := c.replicaByID(rid)
-	if rep == nil {
+	rep, ok := c.replicaByID(rid)
+	if !ok {
 		return JobStatus{}, ErrNoReplicas
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
@@ -848,8 +853,8 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	}
 	rid, remote := j.replicaID, j.remoteID
 	j.mu.Unlock()
-	rep := c.replicaByID(rid)
-	if rep == nil {
+	rep, ok := c.replicaByID(rid)
+	if !ok {
 		return
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
@@ -875,7 +880,7 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 
 // cacheResult copies a done job's result into the coordinator, so the
 // result outlives the replica that computed it.
-func (c *Coordinator) cacheResult(ctx context.Context, j *fleetJob, rep *replica, remote string) {
+func (c *Coordinator) cacheResult(ctx context.Context, j *fleetJob, rep target, remote string) {
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
 	defer cancel()
 	res, err := rep.client.Result(cctx, remote)
@@ -980,14 +985,7 @@ func (c *Coordinator) backgroundSweep() {
 		if !stranded {
 			continue
 		}
-		rep := c.replicaByID(rid)
-		if rep == nil {
-			continue
-		}
-		c.mu.Lock()
-		deadOwner := rep.state == ReplicaDead
-		c.mu.Unlock()
-		if deadOwner {
+		if rep, ok := c.replicaByID(rid); ok && rep.state == ReplicaDead {
 			c.handoff(ctx, j, rid)
 		}
 	}

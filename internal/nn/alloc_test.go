@@ -41,9 +41,13 @@ func TestGCNForwardBackwardAllocFree(t *testing.T) {
 	for i := range dY.Data {
 		dY.Data[i] = rng.NormFloat64()
 	}
+	gr := GCNGraph(NewSparse(sHat), h)
+	var a Activations
+	var p Partials
 	assertAllocFree(t, "gcn forward+backward", func() {
-		g.Forward(sHat, h)
-		g.Backward(dY)
+		g.Forward(gr, &a)
+		g.Backward(dY, &a, &p)
+		g.AddPartials(&p)
 	})
 }
 

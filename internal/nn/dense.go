@@ -19,12 +19,6 @@ const (
 	Tanh
 )
 
-// applyInto computes dst = σ(z) element-wise, resizing dst in place.
-func (a Activation) applyInto(dst, z *Matrix) {
-	dst.EnsureShape(z.Rows, z.Cols)
-	a.apply(dst.Data, z.Data)
-}
-
 // apply computes dst = σ(z) element-wise over equal-length slices.
 func (a Activation) apply(dst, z []float64) {
 	switch a {
@@ -110,9 +104,13 @@ type Dense struct {
 
 	dY   *Matrix // upstream gradient of the running backward (caller-owned)
 	rows []int   // rows of the running backward (nil: all)
+	live int     // input-gradient columns of the running backward (allInputs: every column, ungated)
 	dZ   *Matrix // backward scratch: dY ⊙ σ'
 	dX   *Matrix // backward scratch: returned input gradient
 }
+
+// allInputs asks a dense backward for the input gradient of every column.
+const allInputs = -1
 
 // NewDense builds a dense layer with Xavier-initialized weights.
 func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
@@ -162,21 +160,26 @@ func (f denseForward) Run(lo, hi int) {
 
 // Backward accumulates parameter gradients for upstream gradient dY and
 // returns the gradient with respect to the input (layer-owned scratch).
-func (d *Dense) Backward(dY *Matrix) *Matrix { return d.backward(dY, nil, nil) }
+func (d *Dense) Backward(dY *Matrix) *Matrix { return d.backward(dY, nil, allInputs, nil) }
 
 // backward is Backward restricted to the rows that rows lists (nil: all),
 // in list order, with the work spread over t's goroutines: rows of dZ and
 // dX per goroutine, then rows of the weight gradient per goroutine, each
 // element summing the listed rows in order. Only the listed rows of the
-// returned input gradient are written.
-func (d *Dense) backward(dY *Matrix, rows []int, t *Team) *Matrix {
+// returned input gradient are written, and of those, unless live is
+// allInputs, only the first live columns, gated by the input: an entry is
+// computed where the input is positive and 0 elsewhere.
+func (d *Dense) backward(dY *Matrix, rows []int, live int, t *Team) *Matrix {
 	if d.lastX == nil {
 		panic("nn: dense backward before forward")
 	}
 	shapeEqual("activation backward", dY, d.y)
+	if live != allInputs && (live < 0 || live > d.In) {
+		panic(fmt.Sprintf("nn: dense input gradient over %d of %d columns", live, d.In))
+	}
 	d.dZ.EnsureShape(d.y.Rows, d.Out)
 	d.dX.EnsureShape(d.y.Rows, d.In)
-	d.dY, d.rows = dY, rows
+	d.dY, d.rows, d.live = dY, rows, live
 	n := rowCount(rows, d.y.Rows)
 	t.For(n, d.In*d.Out, denseBackRows{d})
 	t.For(d.In, n*d.Out, denseGradW{d})
@@ -200,7 +203,11 @@ func (f denseBackRows) Run(lo, hi int) {
 		k := rowAt(d.rows, r)
 		span := func(m *Matrix) []float64 { return m.Data[k*d.Out : (k+1)*d.Out] }
 		d.Act.backward(span(d.dZ), span(d.dY), span(d.y))
-		matMulBTRow(d.dX, d.dZ, d.W, k)
+		if d.live == allInputs {
+			matMulBTRow(d.dX, d.dZ, d.W, k, d.In, nil)
+		} else {
+			matMulBTRow(d.dX, d.dZ, d.W, k, d.live, d.lastX.Data[k*d.In:k*d.In+d.live])
+		}
 	}
 }
 
@@ -258,17 +265,33 @@ func (m *MLP) ForwardTeam(x *Matrix, t *Team) *Matrix {
 
 // Backward backpropagates and returns the input gradient (scratch owned by
 // the first layer).
-func (m *MLP) Backward(dY *Matrix) *Matrix { return m.BackwardRows(dY, nil, nil) }
+func (m *MLP) Backward(dY *Matrix) *Matrix { return m.backward(dY, nil, allInputs, nil) }
 
 // BackwardRows backpropagates the rows of dY that rows lists (nil: all
 // rows), spreading the work over t's goroutines (nil: the calling goroutine
 // only). The parameter gradients receive exactly the additions that
 // backpropagating the listed rows one at a time, in list order, would make;
-// rows that are not listed contribute nothing. Only the listed rows of the
-// returned input gradient are written.
-func (m *MLP) BackwardRows(dY *Matrix, rows []int, t *Team) *Matrix {
+// rows that are not listed contribute nothing.
+//
+// The input gradient is computed for the listed rows' first live columns
+// only, and there only where the input is positive: the entries through
+// which a ReLU that produced those inputs passes a gradient. The other
+// entries of those columns are 0 — what the ReLU's backward would make of
+// them for a finite gradient — and the columns from live on are not
+// written.
+func (m *MLP) BackwardRows(dY *Matrix, rows []int, live int, t *Team) *Matrix {
+	return m.backward(dY, rows, live, t)
+}
+
+// backward backpropagates through every layer; live applies to the first
+// layer's input gradient, the later layers' are computed in full.
+func (m *MLP) backward(dY *Matrix, rows []int, live int, t *Team) *Matrix {
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		dY = m.layers[i].backward(dY, rows, t)
+		in := allInputs
+		if i == 0 {
+			in = live
+		}
+		dY = m.layers[i].backward(dY, rows, in, t)
 	}
 	return dY
 }

@@ -10,31 +10,13 @@ import (
 // used by Veličković et al.).
 const gatLeakySlope = 0.2
 
-// SelfLoopMask returns the 0/1 attention mask A + I: each node attends to
-// its neighbors and itself, the masked self-attention of GAT.
-func SelfLoopMask(adj *Matrix) *Matrix {
-	if adj.Rows != adj.Cols {
-		panic(fmt.Sprintf("nn: adjacency must be square, got %dx%d", adj.Rows, adj.Cols))
-	}
-	m := NewMatrix(adj.Rows, adj.Cols)
-	for i := 0; i < adj.Rows; i++ {
-		for j := 0; j < adj.Cols; j++ {
-			if adj.At(i, j) != 0 {
-				m.Set(i, j, 1)
-			}
-		}
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // GATLayer is a single-head Graph Attention layer (Veličković et al.): the
 // §IV-C alternative to GCN. Attention coefficients are computed per edge
 // with a LeakyReLU-activated additive score and normalized by a masked
 // softmax over each node's neighborhood.
 //
-// Like GCNLayer, all intermediates live in layer-owned scratch buffers
-// resized in place; returned matrices are valid until the next call.
+// Like GCNLayer, the activations live in the caller's Activations and the
+// backward scratch in the layer, resized in place.
 type GATLayer struct {
 	In, Out int
 	Act     Activation
@@ -47,24 +29,26 @@ type GATLayer struct {
 	gradA1 *Matrix
 	gradA2 *Matrix
 
-	// caches (lastMask/lastH are caller-owned inputs; the rest is scratch)
-	lastMask *Matrix
-	lastH    *Matrix
-	z        *Matrix
-	raw      *Matrix // unactivated attention scores (only valid on mask)
-	alpha    *Matrix
-	s        *Matrix // pre-activation aggregate
-	y        *Matrix
-
-	src, dst []float64 // per-node attention score scratch
-
-	dS        *Matrix // backward scratch
+	// backward scratch
+	dS        *Matrix
 	dZ        *Matrix
 	dH        *Matrix
-	gradWTmp  *Matrix
 	dSrc      []float64
 	dDst      []float64
 	dAlphaRow []float64
+}
+
+// gatActs is one layer's part of an Activations: the transformed features
+// Z = HW, the attention α, the output and the per-node source/neighbor
+// scores (an edge's unactivated score is src[i] + dst[j]).
+type gatActs struct {
+	z, alpha, y *Matrix
+	src, dst    *[]float64
+}
+
+// gatLayerActs returns layer i's part of a.
+func gatLayerActs(a *Activations, i int) gatActs {
+	return gatActs{z: &a.m[3*i], alpha: &a.m[3*i+1], y: &a.m[3*i+2], src: &a.v[2*i], dst: &a.v[2*i+1]}
 }
 
 // NewGATLayer builds a layer with Xavier-initialized parameters.
@@ -73,8 +57,7 @@ func NewGATLayer(rng *rand.Rand, in, out int, act Activation) *GATLayer {
 		In: in, Out: out, Act: act,
 		W: NewMatrix(in, out), A1: NewMatrix(out, 1), A2: NewMatrix(out, 1),
 		gradW: NewMatrix(in, out), gradA1: NewMatrix(out, 1), gradA2: NewMatrix(out, 1),
-		z: new(Matrix), raw: new(Matrix), alpha: new(Matrix), s: new(Matrix), y: new(Matrix),
-		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix), gradWTmp: new(Matrix),
+		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix),
 	}
 	l.W.XavierInit(rng, in, out)
 	l.A1.XavierInit(rng, out, 1)
@@ -90,68 +73,57 @@ func ensureVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Forward computes the attention aggregation over the self-looped mask. The
-// returned matrix is layer-owned scratch.
-func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
+// forward computes the attention aggregation of h over the nonzero pattern
+// of mask (the self-looped adjacency) into a's buffers and returns the
+// output.
+func (l *GATLayer) forward(mask *Sparse, h *Matrix, a gatActs) *Matrix {
 	if h.Cols != l.In {
 		panic(fmt.Sprintf("nn: gat input features %d, want %d", h.Cols, l.In))
 	}
 	n := h.Rows
-	MatMulInto(l.z, h, l.W)
-	z := l.z
+	MatMulInto(a.z, h, l.W)
+	z := a.z
 
 	// Per-node source/neighbor scores.
-	l.src = ensureVec(l.src, n)
-	l.dst = ensureVec(l.dst, n)
+	*a.src = ensureVec(*a.src, n)
+	*a.dst = ensureVec(*a.dst, n)
+	src, dst := *a.src, *a.dst
 	for i := 0; i < n; i++ {
 		var s1, s2 float64
 		for c := 0; c < l.Out; c++ {
 			s1 += z.At(i, c) * l.A1.Data[c]
 			s2 += z.At(i, c) * l.A2.Data[c]
 		}
-		l.src[i] = s1
-		l.dst[i] = s2
+		src[i] = s1
+		dst[i] = s2
 	}
 
-	l.raw.EnsureShape(n, n)
-	l.raw.Zero()
-	l.alpha.EnsureShape(n, n)
-	l.alpha.Zero()
-	raw, alpha := l.raw, l.alpha
+	a.alpha.EnsureShape(n, n)
+	a.alpha.Zero()
+	alpha := a.alpha
 	for i := 0; i < n; i++ {
+		nbrs := mask.rowCols(i)
 		maxPre := math.Inf(-1)
-		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
-				continue
-			}
-			r := l.src[i] + l.dst[j]
-			raw.Set(i, j, r)
-			pre := leaky(r)
+		for _, j := range nbrs {
+			pre := leaky(src[i] + dst[j])
 			if pre > maxPre {
 				maxPre = pre
 			}
 		}
 		var sum float64
-		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
-				continue
-			}
-			e := math.Exp(leaky(raw.At(i, j)) - maxPre)
-			alpha.Set(i, j, e)
+		for _, j := range nbrs {
+			e := math.Exp(leaky(src[i]+dst[j]) - maxPre)
+			alpha.Set(i, int(j), e)
 			sum += e
 		}
-		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
-				continue
-			}
-			alpha.Set(i, j, alpha.At(i, j)/sum)
+		for _, j := range nbrs {
+			alpha.Set(i, int(j), alpha.At(i, int(j))/sum)
 		}
 	}
 
-	MatMulInto(l.s, alpha, z)
-	l.lastMask, l.lastH = mask, h
-	l.Act.applyInto(l.y, l.s)
-	return l.y
+	MatMulInto(a.y, alpha, z)
+	l.Act.apply(a.y.Data, a.y.Data)
+	return a.y
 }
 
 func leaky(x float64) float64 {
@@ -168,27 +140,19 @@ func leakyGrad(x float64) float64 {
 	return gatLeakySlope
 }
 
-// Backward accumulates parameter gradients and returns dH.
-func (l *GATLayer) Backward(dY *Matrix) *Matrix {
-	dH := l.backwardPartial(dY, true, l.gradWTmp)
-	l.addPartial(l.dSrc, l.dDst, l.z, l.gradWTmp)
-	return dH
-}
-
-// backwardPartial computes everything Backward does except the additions
-// to the parameter gradients: the per-node attention-score gradients stay
-// in dSrc/dDst and the weight-gradient partial Hᵀ dZ goes to gradW, for
-// addPartial. It returns dH when input is set (nil otherwise).
-func (l *GATLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matrix {
-	if l.lastH == nil {
-		panic("nn: gat backward before forward")
-	}
-	n := l.lastH.Rows
-	l.Act.backwardInto(l.dS, dY, l.y)
+// backward computes everything the layer's backward pass does except the
+// additions to the parameter gradients: the per-node attention-score
+// gradients stay in dSrc/dDst and the weight-gradient partial Hᵀ dZ goes
+// to gradW, for addPartial. h is the layer's input. It returns dH when
+// input is set (nil otherwise).
+func (l *GATLayer) backward(dY *Matrix, mask *Sparse, h *Matrix, a gatActs, input bool, gradW *Matrix) *Matrix {
+	n := h.Rows
+	l.Act.backwardInto(l.dS, dY, a.y)
 	dS := l.dS
+	z, alpha, src, dst := a.z, a.alpha, *a.src, *a.dst
 
 	// dZ from the aggregation: dZ = αᵀ dS.
-	matMulATInto(l.dZ, l.alpha, dS)
+	matMulATInto(l.dZ, alpha, dS)
 	dZ := l.dZ
 
 	// dα_ij = dS_i · Z_j for edges; then masked softmax backward per row.
@@ -207,23 +171,18 @@ func (l *GATLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matri
 		for j := range dAlphaRow {
 			dAlphaRow[j] = 0
 		}
-		for j := 0; j < n; j++ {
-			if l.lastMask.At(i, j) == 0 {
-				continue
-			}
+		nbrs := mask.rowCols(i)
+		for _, j := range nbrs {
 			var dot float64
 			for c := 0; c < l.Out; c++ {
-				dot += dS.At(i, c) * l.z.At(j, c)
+				dot += dS.At(i, c) * z.At(int(j), c)
 			}
 			dAlphaRow[j] = dot
-			rowDot += l.alpha.At(i, j) * dot
+			rowDot += alpha.At(i, int(j)) * dot
 		}
-		for j := 0; j < n; j++ {
-			if l.lastMask.At(i, j) == 0 {
-				continue
-			}
-			dPre := l.alpha.At(i, j) * (dAlphaRow[j] - rowDot)
-			dRaw := dPre * leakyGrad(l.raw.At(i, j))
+		for _, j := range nbrs {
+			dPre := alpha.At(i, int(j)) * (dAlphaRow[j] - rowDot)
+			dRaw := dPre * leakyGrad(src[i]+dst[j])
 			dSrc[i] += dRaw
 			dDst[j] += dRaw
 		}
@@ -235,7 +194,7 @@ func (l *GATLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matri
 		}
 	}
 
-	matMulATInto(gradW, l.lastH, dZ)
+	matMulATInto(gradW, h, dZ)
 	if !input {
 		return nil
 	}
@@ -244,7 +203,7 @@ func (l *GATLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matri
 }
 
 // addPartial adds one observation's gradient contributions, as
-// backwardPartial left them, into l's accumulators: the attention-vector
+// backward left them, into l's accumulators: the attention-vector
 // gradients node by node from the score gradients dSrc/dDst and the
 // transformed features z, then the weight-gradient partial gradW.
 func (l *GATLayer) addPartial(dSrc, dDst []float64, z, gradW *Matrix) {
@@ -262,7 +221,6 @@ func (l *GATLayer) addPartial(dSrc, dDst []float64, z, gradW *Matrix) {
 func (l *GATLayer) replica() *GATLayer {
 	return &GATLayer{
 		In: l.In, Out: l.Out, Act: l.Act, W: l.W, A1: l.A1, A2: l.A2,
-		z: new(Matrix), raw: new(Matrix), alpha: new(Matrix), s: new(Matrix), y: new(Matrix),
 		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix),
 	}
 }
@@ -276,9 +234,9 @@ func (l *GATLayer) Params() []Param {
 	}
 }
 
-// GAT is a stack of GAT layers, interface-compatible with GCN: Forward
-// takes the self-looped attention mask instead of the normalized
-// propagation operator.
+// GAT is a stack of GAT layers, interface-compatible with GCN: it attends
+// over the nonzero pattern of the graph's Ŝ (the self-looped adjacency)
+// instead of propagating over Ŝ.
 type GAT struct {
 	layers []*GATLayer
 }
@@ -313,20 +271,40 @@ func (g *GAT) OutFeatures(inFeatures int) int {
 	return g.layers[len(g.layers)-1].Out
 }
 
-// Forward runs all layers over the shared attention mask.
-func (g *GAT) Forward(mask, h *Matrix) *Matrix {
-	for _, l := range g.layers {
-		h = l.Forward(mask, h)
+// Forward implements Trunk. Per layer, a keeps Z, α, the output and the
+// node scores.
+func (g *GAT) Forward(gr Graph, a *Activations) *Matrix {
+	a.g = gr
+	h := gr.X
+	a.m, a.v = grow(a.m, 3*len(g.layers), a.v, 2*len(g.layers))
+	for i, l := range g.layers {
+		h = l.forward(gr.S, h, gatLayerActs(a, i))
 	}
 	return h
 }
 
-// Backward backpropagates through all layers.
-func (g *GAT) Backward(dY *Matrix) *Matrix {
-	for i := len(g.layers) - 1; i >= 0; i-- {
-		dY = g.layers[i].Backward(dY)
+// input returns layer i's input: the node features, or the output of
+// layer i-1.
+func (g *GAT) input(a *Activations, i int) *Matrix {
+	if i == 0 {
+		return a.g.X
 	}
-	return dY
+	return &a.m[3*(i-1)+2]
+}
+
+// Backward implements Trunk. Per layer, p keeps the weight-gradient
+// partial, a copy of Z and the attention-score gradients.
+func (g *GAT) Backward(dY *Matrix, a *Activations, p *Partials) {
+	p.m, p.v = grow(p.m, 2*len(g.layers), p.v, 2*len(g.layers))
+	for i := len(g.layers) - 1; i >= 0; i-- {
+		l, la := g.layers[i], gatLayerActs(a, i)
+		dY = l.backward(dY, a.g.S, g.input(a, i), la, i > 0, &p.m[2*i])
+		z := &p.m[2*i+1]
+		z.EnsureShape(la.z.Rows, la.z.Cols)
+		copy(z.Data, la.z.Data)
+		p.v[2*i] = append(p.v[2*i][:0], l.dSrc...)
+		p.v[2*i+1] = append(p.v[2*i+1][:0], l.dDst...)
+	}
 }
 
 // Replica implements Trunk.
@@ -336,24 +314,6 @@ func (g *GAT) Replica() Trunk {
 		r.layers = append(r.layers, l.replica())
 	}
 	return r
-}
-
-// BackwardPartials implements Trunk. Per layer, p keeps the weight-gradient
-// partial, a copy of Z and the attention-score gradients.
-func (g *GAT) BackwardPartials(dY *Matrix, p *Partials) {
-	m := p.mats(2 * len(g.layers))
-	for len(p.v) < 2*len(g.layers) {
-		p.v = append(p.v, nil)
-	}
-	for i := len(g.layers) - 1; i >= 0; i-- {
-		l := g.layers[i]
-		dY = l.backwardPartial(dY, i > 0, &m[2*i])
-		z := &m[2*i+1]
-		z.EnsureShape(l.z.Rows, l.z.Cols)
-		copy(z.Data, l.z.Data)
-		p.v[2*i] = append(p.v[2*i][:0], l.dSrc...)
-		p.v[2*i+1] = append(p.v[2*i+1][:0], l.dDst...)
-	}
 }
 
 // AddPartials implements Trunk.

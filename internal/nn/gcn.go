@@ -36,11 +36,10 @@ func NormalizeAdjacency(adj *Matrix) *Matrix {
 
 // GCNLayer implements one layer of Eq. 4: H' = σ(Ŝ H W). The propagation
 // operator Ŝ varies per observation (the topology changes every step), so
-// it is an input to Forward rather than a layer parameter.
-//
-// All intermediates live in layer-owned scratch matrices resized in place,
-// so steady-state Forward/Backward allocate nothing. Returned matrices are
-// valid until the layer's next Forward/Backward call.
+// it comes with the observation's Graph rather than being a layer
+// parameter. The activations live in the caller's Activations and the
+// backward scratch in the layer, resized in place, so steady-state
+// Forward/Backward allocate nothing.
 type GCNLayer struct {
 	In, Out int
 	Act     Activation
@@ -48,15 +47,9 @@ type GCNLayer struct {
 	W     *Matrix
 	gradW *Matrix
 
-	lastS *Matrix // Ŝ (caller-owned)
-	sh    *Matrix // Ŝ H scratch
-	z     *Matrix // pre-activation scratch
-	y     *Matrix // post-activation scratch
-
-	dZ       *Matrix // backward scratch
-	dZW      *Matrix // backward scratch: dZ Wᵀ
-	dH       *Matrix // backward scratch: returned input gradient
-	gradWTmp *Matrix // backward scratch: (ŜH)ᵀ dZ before accumulation
+	dZ  *Matrix // backward scratch: dY ⊙ σ'
+	dZW *Matrix // backward scratch: dZ Wᵀ
+	dH  *Matrix // backward scratch: the input gradient Ŝ dZ Wᵀ
 }
 
 // NewGCNLayer builds a GCN layer with Xavier-initialized weights.
@@ -64,48 +57,44 @@ func NewGCNLayer(rng *rand.Rand, in, out int, act Activation) *GCNLayer {
 	l := &GCNLayer{
 		In: in, Out: out, Act: act,
 		W: NewMatrix(in, out), gradW: NewMatrix(in, out),
-		sh: new(Matrix), z: new(Matrix), y: new(Matrix),
-		dZ: new(Matrix), dZW: new(Matrix), dH: new(Matrix), gradWTmp: new(Matrix),
+		dZ: new(Matrix), dZW: new(Matrix), dH: new(Matrix),
 	}
 	l.W.XavierInit(rng, in, out)
 	return l
 }
 
-// Forward computes σ(Ŝ H W) and caches intermediates for Backward. The
-// returned matrix is layer-owned scratch.
-func (l *GCNLayer) Forward(sHat, h *Matrix) *Matrix {
+// forward computes y = σ(ŜHW). The first layer reads its propagated input
+// ŜX from the graph; a later layer propagates its input h into sh, which
+// its backward reads. The pre-activation is formed in y and activated in
+// place.
+func (l *GCNLayer) forward(g *Graph, first bool, h, sh, y *Matrix) *Matrix {
 	if h.Cols != l.In {
 		panic(fmt.Sprintf("nn: gcn input features %d, want %d", h.Cols, l.In))
 	}
-	MatMulInto(l.sh, sHat, h)
-	MatMulInto(l.z, l.sh, l.W)
-	l.lastS = sHat
-	l.Act.applyInto(l.y, l.z)
-	return l.y
-}
-
-// Backward accumulates dW and returns dH, the gradient with respect to the
-// input node features. Ŝ is symmetric, so dH = Ŝ (dZ Wᵀ).
-func (l *GCNLayer) Backward(dY *Matrix) *Matrix {
-	dH := l.backwardPartial(dY, true, l.gradWTmp)
-	l.gradW.AddInPlace(l.gradWTmp)
-	return dH
-}
-
-// backwardPartial computes this observation's weight-gradient partial
-// (ŜH)ᵀdZ into gradW — not adding it to the layer's accumulator — and dH
-// when input is set (nil otherwise).
-func (l *GCNLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matrix {
-	if l.lastS == nil {
-		panic("nn: gcn backward before forward")
+	if first {
+		g.SX.mulInto(y, l.W)
+	} else {
+		g.S.mulInto(sh, h)
+		MatMulInto(y, sh, l.W)
 	}
-	l.Act.backwardInto(l.dZ, dY, l.y)
-	matMulATInto(gradW, l.sh, l.dZ)
-	if !input {
+	l.Act.apply(y.Data, y.Data)
+	return y
+}
+
+// backward computes this observation's weight-gradient partial (ŜH)ᵀdZ
+// into gradW — not adding it to the layer's accumulator — and returns the
+// input gradient dH = Ŝ (dZ Wᵀ) (Ŝ is symmetric), except for the first
+// layer, whose partial holds only the rows of ŜX's nonempty columns (the
+// others are +0) and whose input gradient nobody reads.
+func (l *GCNLayer) backward(dY *Matrix, g *Graph, first bool, sh, y, gradW *Matrix) *Matrix {
+	l.Act.backwardInto(l.dZ, dY, y)
+	if first {
+		g.SX.mulTInto(gradW, l.dZ)
 		return nil
 	}
+	matMulATInto(gradW, sh, l.dZ)
 	matMulBTInto(l.dZW, l.dZ, l.W)
-	MatMulInto(l.dH, l.lastS, l.dZW)
+	g.S.mulInto(l.dH, l.dZW)
 	return l.dH
 }
 
@@ -114,7 +103,6 @@ func (l *GCNLayer) backwardPartial(dY *Matrix, input bool, gradW *Matrix) *Matri
 func (l *GCNLayer) replica() *GCNLayer {
 	return &GCNLayer{
 		In: l.In, Out: l.Out, Act: l.Act, W: l.W,
-		sh: new(Matrix), z: new(Matrix), y: new(Matrix),
 		dZ: new(Matrix), dZW: new(Matrix), dH: new(Matrix),
 	}
 }
@@ -164,23 +152,27 @@ func (g *GCN) OutFeatures(inFeatures int) int {
 	return g.layers[len(g.layers)-1].Out
 }
 
-// Forward runs all layers over the propagation operator sHat. The returned
-// matrix is scratch owned by the last layer (or the input itself for a
-// zero-layer GCN).
-func (g *GCN) Forward(sHat, h *Matrix) *Matrix {
-	for _, l := range g.layers {
-		h = l.Forward(sHat, h)
+// Forward implements Trunk. Per layer, a keeps the propagated input ŜH
+// (not for the first layer, whose ŜX belongs to the graph) and the output.
+func (g *GCN) Forward(gr Graph, a *Activations) *Matrix {
+	a.g = gr
+	h := gr.X
+	a.m, a.v = grow(a.m, 2*len(g.layers), a.v, 0)
+	for i, l := range g.layers {
+		h = l.forward(&a.g, i == 0, h, &a.m[2*i], &a.m[2*i+1])
 	}
 	return h
 }
 
-// Backward backpropagates through all layers, accumulates the weight
-// gradients and returns the gradient with respect to the input features.
-func (g *GCN) Backward(dY *Matrix) *Matrix {
+// Backward implements Trunk.
+func (g *GCN) Backward(dY *Matrix, a *Activations, p *Partials) {
+	p.m, p.v = grow(p.m, len(g.layers), p.v, 0)
 	for i := len(g.layers) - 1; i >= 0; i-- {
-		dY = g.layers[i].Backward(dY)
+		dY = g.layers[i].backward(dY, &a.g, i == 0, &a.m[2*i], &a.m[2*i+1], &p.m[i])
 	}
-	return dY
+	if len(g.layers) > 0 {
+		p.rows = a.g.SX.cols
+	}
 }
 
 // Replica implements Trunk.
@@ -192,18 +184,22 @@ func (g *GCN) Replica() Trunk {
 	return r
 }
 
-// BackwardPartials implements Trunk.
-func (g *GCN) BackwardPartials(dY *Matrix, p *Partials) {
-	m := p.mats(len(g.layers))
-	for i := len(g.layers) - 1; i >= 0; i-- {
-		dY = g.layers[i].backwardPartial(dY, i > 0, &m[i])
-	}
-}
-
-// AddPartials implements Trunk.
+// AddPartials implements Trunk. The first layer's partial holds only the
+// rows p.rows lists; the rows it leaves out are +0, and adding +0 changes
+// no gradient element (a sum started from +0 is never -0).
 func (g *GCN) AddPartials(p *Partials) {
 	for i, l := range g.layers {
-		l.gradW.AddInPlace(&p.m[i])
+		if i > 0 {
+			l.gradW.AddInPlace(&p.m[i])
+			continue
+		}
+		w := l.Out
+		for t, r := range p.rows {
+			dst, src := l.gradW.Data[int(r)*w:int(r+1)*w], p.m[0].Data[t*w:(t+1)*w]
+			for j, v := range src {
+				dst[j] += v
+			}
+		}
 	}
 }
 

@@ -138,8 +138,10 @@ func TestGCNGradientMatchesFiniteDifference(t *testing.T) {
 	sHat := NormalizeAdjacency(adj)
 	h := NewMatrix(5, 4)
 	h.XavierInit(rng, 4, 2)
+	gr := GCNGraph(NewSparse(sHat), h)
+	var a Activations
 	loss := func() float64 {
-		y := gcn.Forward(sHat, h)
+		y := gcn.Forward(gr, &a)
 		var s float64
 		for i, v := range y.Data {
 			s += v * v * float64(i%3+1)
@@ -148,12 +150,12 @@ func TestGCNGradientMatchesFiniteDifference(t *testing.T) {
 	}
 	numeric := numericalGrad(gcn.Params(), loss)
 	ZeroGrads(gcn.Params())
-	y := gcn.Forward(sHat, h)
+	y := gcn.Forward(gr, &a)
 	dY := NewMatrix(y.Rows, y.Cols)
 	for i, v := range y.Data {
 		dY.Data[i] = 2 * v * float64(i%3+1)
 	}
-	gcn.Backward(dY)
+	trunkBackward(gcn, dY, &a)
 	// ReLU kinks make finite differences slightly noisy; modest tolerance.
 	assertGradsClose(t, gcn.Params(), numeric, 1e-4)
 }
@@ -234,10 +236,12 @@ func TestScratchReuseIsBitStable(t *testing.T) {
 		dY.Data[i] = rng.NormFloat64()
 	}
 
+	gr := GCNGraph(NewSparse(sHat), h)
+	var a Activations
 	snap := func() ([]float64, [][]float64) {
 		ZeroGrads(gcn.Params())
-		y := append([]float64(nil), gcn.Forward(sHat, h).Data...)
-		gcn.Backward(dY)
+		y := append([]float64(nil), gcn.Forward(gr, &a).Data...)
+		trunkBackward(gcn, dY, &a)
 		var gs [][]float64
 		for _, p := range gcn.Params() {
 			gs = append(gs, append([]float64(nil), p.Grad.Data...))
@@ -270,20 +274,14 @@ func TestGCNZeroLayersIsIdentity(t *testing.T) {
 		t.Fatal("identity GCN must preserve feature dim")
 	}
 	h := FromSlice(2, 4, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	sHat := NormalizeAdjacency(NewMatrix(2, 2))
-	y := gcn.Forward(sHat, h)
+	var a Activations
+	y := gcn.Forward(Graph{X: h}, &a)
 	for i := range h.Data {
 		if y.Data[i] != h.Data[i] {
 			t.Fatal("identity GCN changed features")
 		}
 	}
-	dy := y.Clone()
-	dx := gcn.Backward(dy)
-	for i := range dy.Data {
-		if dx.Data[i] != dy.Data[i] {
-			t.Fatal("identity GCN changed gradient")
-		}
-	}
+	trunkBackward(gcn, y.Clone(), &a) // nothing to backpropagate into
 	if gcn.Params() != nil {
 		t.Fatal("identity GCN has no params")
 	}
@@ -323,4 +321,13 @@ func TestNormalizeAdjacency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trunkBackward is a trunk's single-observation backward: backpropagate dY
+// through the forward that filled a and add the contributions to the
+// trunk's gradients.
+func trunkBackward(tr Trunk, dY *Matrix, a *Activations) {
+	var p Partials
+	tr.Backward(dY, a, &p)
+	tr.AddPartials(&p)
 }

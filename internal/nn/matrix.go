@@ -163,7 +163,11 @@ func addRows4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
 	}
 }
 
-// matMulATInto computes dst = aᵀ×b without materializing the transpose.
+// matMulATInto computes dst = aᵀ×b without materializing the transpose,
+// walking a and b row by row: each nonzero a[k][i] adds a[k][i]·b[k] into
+// row i of dst. Every element sums its terms in row order from +0, each
+// product rounded before its addition — the sums matMulATAddRows forms —
+// while reading a row-wise, which suits the narrow b of the graph trunks.
 func matMulATInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: matmul(aT,b) inner dims %d vs %d", a.Rows, b.Rows))
@@ -171,9 +175,21 @@ func matMulATInto(dst, a, b *Matrix) {
 	if aliases(dst, a) || aliases(dst, b) {
 		panic("nn: matmul destination aliases an operand")
 	}
-	dst.EnsureShape(a.Cols, b.Cols)
+	w := b.Cols
+	dst.EnsureShape(a.Cols, w)
 	clear(dst.Data)
-	matMulATAddRows(dst, a, b, nil, 0, a.Cols)
+	for k := 0; k < a.Rows; k++ {
+		bk := b.Data[k*w : (k+1)*w]
+		for i, av := range a.Data[k*a.Cols : (k+1)*a.Cols] {
+			if av == 0 {
+				continue
+			}
+			orow := dst.Data[i*w : (i+1)*w]
+			for j, bv := range bk {
+				orow[j] += float64(av * bv)
+			}
+		}
+	}
 }
 
 // matMulATAddRows accumulates dst += aᵀ×b into rows [lo, hi) of dst, over
@@ -254,23 +270,34 @@ func matMulBTInto(dst, a, b *Matrix) {
 	}
 	dst.EnsureShape(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		matMulBTRow(dst, a, b, i)
+		matMulBTRow(dst, a, b, i, b.Rows, nil)
 	}
 }
 
-// matMulBTRow computes row i of dst = a×bᵀ as contiguous dot products of
-// row i of a with each row of b, summed in column order from zero and
-// skipping zero elements of a — the same terms in the same order as
-// accumulating a's columns one at a time into the output row. Eight dot
-// products share each pass over the row of a.
-func matMulBTRow(dst, a, b *Matrix, i int) {
+// matMulBTRow computes columns [0, n) of row i of dst = a×bᵀ as contiguous
+// dot products of row i of a with rows of b, summed in column order from
+// zero and skipping zero elements of a — the same terms in the same order
+// as accumulating a's columns one at a time into the output row. Eight dot
+// products share each pass over the row of a. With a gate, column j is
+// computed only where gate[j] > 0 and set to 0 elsewhere.
+func matMulBTRow(dst, a, b *Matrix, i, n int, gate []float64) {
 	arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-	orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+	orow := dst.Data[i*b.Rows : i*b.Rows+n]
 	brow := func(j int) []float64 { return b.Data[j*b.Cols : j*b.Cols+len(arow)] }
-	j := 0
-	for ; j+8 <= len(orow); j += 8 {
-		b0, b1, b2, b3 := brow(j), brow(j+1), brow(j+2), brow(j+3)
-		b4, b5, b6, b7 := brow(j+4), brow(j+5), brow(j+6), brow(j+7)
+	var js [8]int
+	m := 0
+	for j := range orow {
+		if gate != nil && !(gate[j] > 0) {
+			orow[j] = 0
+			continue
+		}
+		js[m] = j
+		if m++; m < 8 {
+			continue
+		}
+		m = 0
+		b0, b1, b2, b3 := brow(js[0]), brow(js[1]), brow(js[2]), brow(js[3])
+		b4, b5, b6, b7 := brow(js[4]), brow(js[5]), brow(js[6]), brow(js[7])
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for k, av := range arow {
 			if av == 0 {
@@ -285,10 +312,10 @@ func matMulBTRow(dst, a, b *Matrix, i int) {
 			s6 += av * b6[k]
 			s7 += av * b7[k]
 		}
-		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
+		orow[js[0]], orow[js[1]], orow[js[2]], orow[js[3]] = s0, s1, s2, s3
+		orow[js[4]], orow[js[5]], orow[js[6]], orow[js[7]] = s4, s5, s6, s7
 	}
-	for ; j < len(orow); j++ {
+	for _, j := range js[:m] {
 		bj := brow(j)
 		var s float64
 		for k, av := range arow {

@@ -45,7 +45,7 @@ func (t *testAC) ForwardPolicyBatch(obs []Observation) *nn.Matrix {
 }
 
 func (t *testAC) BackwardPolicyBatch(dLogits *nn.Matrix, rows []int) {
-	t.actor.BackwardRows(dLogits, rows, nil)
+	t.actor.BackwardRows(dLogits, rows, 0, nil)
 }
 
 func (t *testAC) ForwardValueBatch(obs []Observation) []float64 {

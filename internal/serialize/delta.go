@@ -1,6 +1,10 @@
 package serialize
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/nbf"
+)
 
 // LinkRefJSON names one candidate link of the connection graph by its
 // endpoint vertex IDs (undirected; {U,V} and {V,U} are the same link).
@@ -49,12 +53,15 @@ func (d DeltaJSON) Empty() bool {
 // ApplyDelta derives a new problem spec from base by applying the delta at
 // the JSON level: flows are removed then added (appended in delta order, so
 // base flow order is preserved), damaged links leave the connection graph,
-// restored links re-join it, and the reliability knobs are overridden. Every referenced flow or link is validated against the
-// base, so a stale delta (removing a flow that is already gone, damaging a
-// link twice) fails loudly instead of silently planning the wrong problem.
-// The base is not mutated. An empty delta returns a spec deep-equal to the
-// base, which is what keeps the empty-delta path bit-identical to the
-// cached base plan.
+// restored links re-join it, and the reliability knobs are overridden.
+// Every referenced flow or link is validated against the base, so a stale
+// delta (removing a flow that is already gone, damaging a link twice) fails
+// loudly instead of silently planning the wrong problem, and the derived
+// spec is validated as DecodeProblem validates it, so a delta whose result
+// the planner would refuse (a flow from a switch, a restored link between
+// two end stations, a reliability goal of 1) fails here too. The base is
+// not mutated. An empty delta returns a spec deep-equal to the base, which
+// is what keeps the empty-delta path bit-identical to the cached base plan.
 func ApplyDelta(base ProblemJSON, d DeltaJSON) (ProblemJSON, error) {
 	out := base
 	// Deep-copy the slices that change; the rest is value-copied above.
@@ -132,7 +139,22 @@ func ApplyDelta(base ProblemJSON, d DeltaJSON) (ProblemJSON, error) {
 	if d.FlowLevelRedundancy != nil {
 		out.FlowLevelRedundancy = *d.FlowLevelRedundancy
 	}
+	if err := checkDerived(out); err != nil {
+		return ProblemJSON{}, fmt.Errorf("serialize: delta derives an invalid problem: %w", err)
+	}
 	return out, nil
+}
+
+// checkDerived validates a derived spec as DecodeProblem does, without
+// resolving its recovery mechanism: a delta cannot change the mechanism,
+// and validation does not read it.
+func checkDerived(p ProblemJSON) error {
+	g, err := DecodeGraph(p.Connections)
+	if err != nil {
+		return err
+	}
+	_, err = decodeProblem(p, g, &nbf.StatelessRecovery{})
+	return err
 }
 
 func sameLink(u1, v1, u2, v2 int) bool {

@@ -121,3 +121,44 @@ func validProblem() *core.Problem {
 		ESLevel:         asil.LevelD,
 	}
 }
+
+// FuzzApplyDelta applies arbitrary delta bytes to a fixed valid base. It
+// must never panic, and any spec it returns must decode and validate: a
+// delta is checked against its base, so a derived problem the planner
+// would refuse is refused when the delta is applied.
+func FuzzApplyDelta(f *testing.F) {
+	base := EncodeProblem(validProblem(), "stateless-greedy")
+	redundant := true
+	for _, d := range []DeltaJSON{
+		{},
+		{AddFlows: []FlowJSON{{ID: 1, Src: 1, Dsts: []int{0}, PeriodNs: base.BasePeriodNs, DeadlineNs: base.BasePeriodNs, FrameSize: 200}}},
+		{RemoveFlows: []int{0}},
+		{DamageLinks: []LinkRefJSON{{U: 2, V: 3}}},
+		{DamageLinks: []LinkRefJSON{{U: 0, V: 2}}, RestoreLinks: []EdgeJSON{{U: 0, V: 2, Length: 1.5}}},
+		{ReliabilityGoal: 1e-7, FlowLevelRedundancy: &redundant},
+	} {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, d); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"restoreLinks":[{"u":0,"v":1,"length":1}]}`))
+	f.Add([]byte(`{"addFlows":[{"id":7,"src":2,"dsts":[9],"periodNs":-1}]}`))
+	f.Add([]byte(`not json`))
+
+	reg := nbf.NewRegistry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d DeltaJSON
+		if err := ReadJSON(bytes.NewReader(data), &d); err != nil {
+			return
+		}
+		out, err := ApplyDelta(base, d)
+		if err != nil {
+			return
+		}
+		if _, err := DecodeProblem(out, reg); err != nil {
+			t.Fatalf("derived spec does not decode: %v\ndelta: %s", err, data)
+		}
+	})
+}

@@ -156,6 +156,13 @@ func DecodeProblem(in ProblemJSON, reg *nbf.Registry) (*core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeProblem(in, g, mech)
+}
+
+// decodeProblem completes DecodeProblem once the graph is decoded and the
+// recovery mechanism resolved; validation does not depend on the
+// mechanism.
+func decodeProblem(in ProblemJSON, g *graph.Graph, mech nbf.NBF) (*core.Problem, error) {
 	lvl, err := parseLevel(in.ESLevel)
 	if err != nil {
 		return nil, err

@@ -157,6 +157,77 @@ func TestChaosCrashRestartRequeuesJournaledJobs(t *testing.T) {
 	}
 }
 
+// TestChaosSlowJournalWriteKeepsLatestRecord reproduces the journal
+// ordering race deterministically. With the single worker held on a first
+// job, a second job's queued record is written slowly
+// (fs.write:delay:delay=50ms:calls=3), and the job is cancelled while that
+// write is held. Because each record is snapshotted and written under the
+// job's journal lock, the cancelled record waits for the queued one instead
+// of being overwritten by it: the on-disk record is the terminal one, so a
+// restart would not run the cancelled job.
+func TestChaosSlowJournalWriteKeepsLatestRecord(t *testing.T) {
+	for _, seed := range chaosSeeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Calls 1 and 2 are the first job's queued and running records.
+			in := fault.New(seed, fault.Rule{Point: fault.PointFSWrite, Kind: fault.KindDelay, Calls: []int{3}, Delay: 50 * time.Millisecond})
+			t.Log(in.String())
+			dir := t.TempDir()
+			started, block := make(chan struct{}, 1), make(chan struct{})
+			m := newTestManager(t, Options{Dir: dir, Workers: 1, Fault: in, testBeforeRun: func(*job) {
+				started <- struct{}{}
+				<-block
+			}})
+			release := sync.OnceFunc(func() { close(block) })
+			t.Cleanup(release) // runs before the manager's shutdown
+
+			first, err := m.Submit(seededRequest(t, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started // the worker is held; both first-job records are written
+
+			var wg sync.WaitGroup
+			var second Status
+			var submitErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				second, submitErr = m.Submit(seededRequest(t, seed+1))
+			}()
+			waitFor(t, func() bool { return in.Calls(fault.PointFSWrite) == 3 }, "queued record never written")
+			// The queued record's write is now held; cancel the job.
+			var id string
+			for _, st := range m.List() {
+				if st.ID != first.ID {
+					id = st.ID
+				}
+			}
+			if st, err := m.Cancel(id); err != nil || st.State != StateCancelled {
+				t.Fatalf("cancel = %+v, %v", st, err)
+			}
+			wg.Wait()
+			if submitErr != nil || second.ID != id {
+				t.Fatalf("submit = %+v, %v", second, submitErr)
+			}
+			data, err := os.ReadFile(recordFile(dir, id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := decodeRecord(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Status.State != StateCancelled {
+				t.Fatalf("journal holds a %s record for a cancelled job: the queued snapshot landed last", rec.Status.State)
+			}
+			release()
+			if final := waitTerminal(t, m, first.ID); final.State != StateDone {
+				t.Fatalf("first job = %s (%q), want done", final.State, final.Error)
+			}
+		})
+	}
+}
+
 // TestChaosCrashLoopAbandonsJobAfterMaxAttempts: a job whose every run is
 // interrupted by a crash is re-queued MaxAttempts times, then failed on
 // the next boot instead of crash-looping forever.
